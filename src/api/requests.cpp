@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <initializer_list>
+#include <memory>
+#include <optional>
 
 namespace icsdiv::api {
 
@@ -12,13 +14,59 @@ namespace {
 // InvalidArgument (typo safety — the historical CLI behaviour for grids),
 // a missing required key names itself in the message.
 
-void check_keys(const support::JsonObject& object,
-                std::initializer_list<std::string_view> allowed, std::string_view context) {
-  for (const auto& [key, value] : object) {
+[[noreturn]] void throw_missing(std::string_view key, std::string_view context) {
+  throw InvalidArgument("missing required \"" + std::string(key) + "\" in " + std::string(context));
+}
+
+/// A request envelope's top-level members over its canonical frame text.
+/// Small fields parse on demand; documents adopt their span of the frame.
+class Fields {
+ public:
+  Fields(std::shared_ptr<const std::string> frame, std::vector<support::JsonScan::Member> members)
+      : frame_(std::move(frame)), members_(std::move(members)) {}
+
+  [[nodiscard]] const std::vector<support::JsonScan::Member>& members() const { return members_; }
+
+  [[nodiscard]] std::optional<support::Json> find(std::string_view key) const {
+    const std::string_view* text = span(key);
+    return text != nullptr ? std::optional(support::Json::parse(*text)) : std::nullopt;
+  }
+
+  [[nodiscard]] support::Json required(std::string_view key, std::string_view context) const {
+    return support::Json::parse(required_span(key, context));
+  }
+
+  [[nodiscard]] Document document(std::string_view key, std::string_view context) const {
+    return Document::adopt(frame_, required_span(key, context));
+  }
+
+ private:
+  /// Canonical text has no duplicate keys, so the first match is the only one.
+  [[nodiscard]] const std::string_view* span(std::string_view key) const {
+    for (const support::JsonScan::Member& member : members_) {
+      if (member.key == key) return &member.value;
+    }
+    return nullptr;
+  }
+
+  [[nodiscard]] std::string_view required_span(std::string_view key,
+                                                std::string_view context) const {
+    const std::string_view* text = span(key);
+    if (text == nullptr) throw_missing(key, context);
+    return *text;
+  }
+
+  std::shared_ptr<const std::string> frame_;
+  std::vector<support::JsonScan::Member> members_;
+};
+
+void check_keys(const Fields& fields, std::initializer_list<std::string_view> allowed,
+                std::string_view context) {
+  for (const support::JsonScan::Member& member : fields.members()) {
     bool known = false;
-    for (const std::string_view name : allowed) known = known || key == name;
+    for (const std::string_view name : allowed) known = known || member.key == name;
     if (!known) {
-      throw InvalidArgument("unknown key \"" + key + "\" in " + std::string(context));
+      throw InvalidArgument("unknown key \"" + member.key + "\" in " + std::string(context));
     }
   }
 }
@@ -26,16 +74,13 @@ void check_keys(const support::JsonObject& object,
 const support::Json& required_field(const support::JsonObject& object, std::string_view key,
                                     std::string_view context) {
   const support::Json* value = object.find(key);
-  if (value == nullptr) {
-    throw InvalidArgument("missing required \"" + std::string(key) + "\" in " +
-                          std::string(context));
-  }
+  if (value == nullptr) throw_missing(key, context);
   return *value;
 }
 
-std::string optional_string(const support::JsonObject& object, std::string_view key) {
-  const support::Json* value = object.find(key);
-  return value != nullptr ? value->as_string() : std::string();
+std::string optional_string(const Fields& fields, std::string_view key) {
+  const std::optional<support::Json> value = fields.find(key);
+  return value ? value->as_string() : std::string();
 }
 
 // Deadline field, shared by every compute request.  Omitted on the wire
@@ -46,9 +91,9 @@ void timeout_to_wire(std::int64_t timeout_ms, support::JsonObject& object) {
   if (timeout_ms != 0) object.set("timeout_ms", timeout_ms);
 }
 
-std::int64_t timeout_from_wire(const support::JsonObject& object, std::string_view context) {
-  const support::Json* value = object.find("timeout_ms");
-  if (value == nullptr) return 0;
+std::int64_t timeout_from_wire(const Fields& fields, std::string_view context) {
+  const std::optional<support::Json> value = fields.find("timeout_ms");
+  if (!value) return 0;
   const std::int64_t timeout_ms = value->as_integer();
   if (timeout_ms < 0) {
     throw InvalidArgument(std::string(context) + " timeout_ms must be non-negative");
@@ -111,8 +156,8 @@ std::vector<std::string> strings_from_json(const support::Json& json) {
 constexpr std::string_view kEnvelope[] = {"icsdivd", "request"};
 
 void fields_to_wire(const OptimizeRequest& request, support::JsonObject& object) {
-  object.set("catalog", request.catalog);
-  object.set("network", request.network);
+  object.set("catalog", request.catalog.json());
+  object.set("network", request.network.json());
   if (!request.solver.empty()) object.set("solver", support::Json(request.solver));
   if (request.max_iterations != 0) {
     object.set("max_iterations", static_cast<std::int64_t>(request.max_iterations));
@@ -120,156 +165,156 @@ void fields_to_wire(const OptimizeRequest& request, support::JsonObject& object)
   timeout_to_wire(request.timeout_ms, object);
 }
 
-OptimizeRequest optimize_from_wire(const support::JsonObject& object) {
-  check_keys(object,
+OptimizeRequest optimize_from_wire(const Fields& fields) {
+  check_keys(fields,
              {kEnvelope[0], kEnvelope[1], "catalog", "network", "solver", "max_iterations",
               "timeout_ms"},
              "optimize");
   OptimizeRequest request;
-  request.catalog = required_field(object, "catalog", "optimize");
-  request.network = required_field(object, "network", "optimize");
-  request.solver = optional_string(object, "solver");
-  if (const support::Json* iterations = object.find("max_iterations")) {
+  request.catalog = fields.document("catalog", "optimize");
+  request.network = fields.document("network", "optimize");
+  request.solver = optional_string(fields, "solver");
+  if (const std::optional<support::Json> iterations = fields.find("max_iterations")) {
     const std::int64_t value = iterations->as_integer();
     if (value < 0) throw InvalidArgument("optimize max_iterations must be non-negative");
     request.max_iterations = static_cast<std::size_t>(value);
   }
-  request.timeout_ms = timeout_from_wire(object, "optimize");
+  request.timeout_ms = timeout_from_wire(fields, "optimize");
   return request;
 }
 
 void fields_to_wire(const EvaluateRequest& request, support::JsonObject& object) {
-  object.set("catalog", request.catalog);
-  object.set("network", request.network);
-  object.set("assignment", request.assignment);
+  object.set("catalog", request.catalog.json());
+  object.set("network", request.network.json());
+  object.set("assignment", request.assignment.json());
   if (!request.entry.empty()) object.set("entry", support::Json(request.entry));
   if (!request.target.empty()) object.set("target", support::Json(request.target));
   timeout_to_wire(request.timeout_ms, object);
 }
 
-EvaluateRequest evaluate_from_wire(const support::JsonObject& object) {
-  check_keys(object,
+EvaluateRequest evaluate_from_wire(const Fields& fields) {
+  check_keys(fields,
              {kEnvelope[0], kEnvelope[1], "catalog", "network", "assignment", "entry", "target",
               "timeout_ms"},
              "evaluate");
   EvaluateRequest request;
-  request.catalog = required_field(object, "catalog", "evaluate");
-  request.network = required_field(object, "network", "evaluate");
-  request.assignment = required_field(object, "assignment", "evaluate");
-  request.entry = optional_string(object, "entry");
-  request.target = optional_string(object, "target");
+  request.catalog = fields.document("catalog", "evaluate");
+  request.network = fields.document("network", "evaluate");
+  request.assignment = fields.document("assignment", "evaluate");
+  request.entry = optional_string(fields, "entry");
+  request.target = optional_string(fields, "target");
   if (request.entry.empty() != request.target.empty()) {
     throw InvalidArgument("evaluate needs both entry and target, or neither");
   }
-  request.timeout_ms = timeout_from_wire(object, "evaluate");
+  request.timeout_ms = timeout_from_wire(fields, "evaluate");
   return request;
 }
 
 void fields_to_wire(const ReportRequest& request, support::JsonObject& object) {
-  object.set("catalog", request.catalog);
-  object.set("network", request.network);
-  object.set("assignment", request.assignment);
+  object.set("catalog", request.catalog.json());
+  object.set("network", request.network.json());
+  object.set("assignment", request.assignment.json());
   timeout_to_wire(request.timeout_ms, object);
 }
 
-ReportRequest report_from_wire(const support::JsonObject& object) {
-  check_keys(object,
+ReportRequest report_from_wire(const Fields& fields) {
+  check_keys(fields,
              {kEnvelope[0], kEnvelope[1], "catalog", "network", "assignment", "timeout_ms"},
              "report");
   ReportRequest request;
-  request.catalog = required_field(object, "catalog", "report");
-  request.network = required_field(object, "network", "report");
-  request.assignment = required_field(object, "assignment", "report");
-  request.timeout_ms = timeout_from_wire(object, "report");
+  request.catalog = fields.document("catalog", "report");
+  request.network = fields.document("network", "report");
+  request.assignment = fields.document("assignment", "report");
+  request.timeout_ms = timeout_from_wire(fields, "report");
   return request;
 }
 
 void fields_to_wire(const SimilarityRequest& request, support::JsonObject& object) {
-  object.set("feed", request.feed);
+  object.set("feed", request.feed.json());
   object.set("cpes", strings_to_json(request.cpes));
   timeout_to_wire(request.timeout_ms, object);
 }
 
-SimilarityRequest similarity_from_wire(const support::JsonObject& object) {
-  check_keys(object, {kEnvelope[0], kEnvelope[1], "feed", "cpes", "timeout_ms"}, "similarity");
+SimilarityRequest similarity_from_wire(const Fields& fields) {
+  check_keys(fields, {kEnvelope[0], kEnvelope[1], "feed", "cpes", "timeout_ms"}, "similarity");
   SimilarityRequest request;
-  request.feed = required_field(object, "feed", "similarity");
-  request.cpes = strings_from_json(required_field(object, "cpes", "similarity"));
+  request.feed = fields.document("feed", "similarity");
+  request.cpes = strings_from_json(fields.required("cpes", "similarity"));
   if (request.cpes.size() < 2) {
     throw InvalidArgument("similarity needs at least two cpe queries");
   }
-  request.timeout_ms = timeout_from_wire(object, "similarity");
+  request.timeout_ms = timeout_from_wire(fields, "similarity");
   return request;
 }
 
 void fields_to_wire(const BatchRequest& request, support::JsonObject& object) {
-  object.set("grid", request.grid);
+  object.set("grid", request.grid.json());
   if (request.threads != 0) object.set("threads", request.threads);
   timeout_to_wire(request.timeout_ms, object);
   if (!request.store_dir.empty()) object.set("store_dir", support::Json(request.store_dir));
 }
 
-BatchRequest batch_from_wire(const support::JsonObject& object) {
-  check_keys(object, {kEnvelope[0], kEnvelope[1], "grid", "threads", "timeout_ms", "store_dir"},
+BatchRequest batch_from_wire(const Fields& fields) {
+  check_keys(fields, {kEnvelope[0], kEnvelope[1], "grid", "threads", "timeout_ms", "store_dir"},
              "batch");
   BatchRequest request;
-  request.grid = required_field(object, "grid", "batch");
-  if (const support::Json* threads = object.find("threads")) {
+  request.grid = fields.document("grid", "batch");
+  if (const std::optional<support::Json> threads = fields.find("threads")) {
     const std::int64_t value = threads->as_integer();
     if (value < 0) throw InvalidArgument("batch threads must be non-negative");
     request.threads = static_cast<std::size_t>(value);
   }
-  request.timeout_ms = timeout_from_wire(object, "batch");
-  if (const support::Json* store = object.find("store_dir")) {
+  request.timeout_ms = timeout_from_wire(fields, "batch");
+  if (const std::optional<support::Json> store = fields.find("store_dir")) {
     request.store_dir = store->as_string();
   }
   return request;
 }
 
 void fields_to_wire(const MetricRequest& request, support::JsonObject& object) {
-  object.set("catalog", request.catalog);
-  object.set("network", request.network);
-  object.set("assignment", request.assignment);
+  object.set("catalog", request.catalog.json());
+  object.set("network", request.network.json());
+  object.set("assignment", request.assignment.json());
   object.set("entry", support::Json(request.entry));
   object.set("target", support::Json(request.target));
   timeout_to_wire(request.timeout_ms, object);
 }
 
-MetricRequest metric_from_wire(const support::JsonObject& object) {
-  check_keys(object,
+MetricRequest metric_from_wire(const Fields& fields) {
+  check_keys(fields,
              {kEnvelope[0], kEnvelope[1], "catalog", "network", "assignment", "entry", "target",
               "timeout_ms"},
              "metric");
   MetricRequest request;
-  request.catalog = required_field(object, "catalog", "metric");
-  request.network = required_field(object, "network", "metric");
-  request.assignment = required_field(object, "assignment", "metric");
-  request.entry = required_field(object, "entry", "metric").as_string();
-  request.target = required_field(object, "target", "metric").as_string();
-  request.timeout_ms = timeout_from_wire(object, "metric");
+  request.catalog = fields.document("catalog", "metric");
+  request.network = fields.document("network", "metric");
+  request.assignment = fields.document("assignment", "metric");
+  request.entry = fields.required("entry", "metric").as_string();
+  request.target = fields.required("target", "metric").as_string();
+  request.timeout_ms = timeout_from_wire(fields, "metric");
   return request;
 }
 
 void fields_to_wire(const StatusRequest&, support::JsonObject&) {}
 
-StatusRequest status_from_wire(const support::JsonObject& object) {
-  check_keys(object, {kEnvelope[0], kEnvelope[1]}, "status");
+StatusRequest status_from_wire(const Fields& fields) {
+  check_keys(fields, {kEnvelope[0], kEnvelope[1]}, "status");
   return StatusRequest{};
 }
 
 void fields_to_wire(const VersionRequest&, support::JsonObject&) {}
 
-VersionRequest version_from_wire(const support::JsonObject& object) {
-  check_keys(object, {kEnvelope[0], kEnvelope[1]}, "version");
+VersionRequest version_from_wire(const Fields& fields) {
+  check_keys(fields, {kEnvelope[0], kEnvelope[1]}, "version");
   return VersionRequest{};
 }
 
 // ---------------------------------------------------------------------------
 // Response result (de)serialisation.
 
-support::Json result_to_json(const OptimizeResponse& response) {
+support::Json result_to_json(OptimizeResponse response) {
   support::JsonObject object;
-  object.set("assignment", response.assignment);
+  object.set("assignment", std::move(response.assignment));
   object.set("energy", json_number(response.energy));
   object.set("pairwise_similarity", json_number(response.pairwise_similarity));
   object.set("iterations", response.iterations);
@@ -390,9 +435,9 @@ SimilarityResponse similarity_result(const support::JsonObject& object) {
   return response;
 }
 
-support::Json result_to_json(const BatchResponse& response) {
+support::Json result_to_json(BatchResponse response) {
   support::JsonObject object;
-  object.set("report", response.report);
+  object.set("report", std::move(response.report));
   object.set("csv", support::Json(response.csv));
   object.set("cells", response.cells);
   object.set("failed", response.failed);
@@ -500,13 +545,11 @@ VersionResponse version_result(const support::JsonObject& object) {
   return response;
 }
 
-void check_protocol(const support::JsonObject& object) {
-  if (const support::Json* version = object.find("icsdivd")) {
-    if (version->as_integer() != kProtocolVersion) {
-      throw InvalidArgument("unsupported protocol version " +
-                            std::to_string(version->as_integer()) + " (this server speaks " +
-                            std::to_string(kProtocolVersion) + ")");
-    }
+/// `version` is the envelope's "icsdivd" field, null when absent.
+void check_protocol(const support::Json* version) {
+  if (version != nullptr && version->as_integer() != kProtocolVersion) {
+    throw InvalidArgument("unsupported protocol version " + std::to_string(version->as_integer()) +
+                          " (this server speaks " + std::to_string(kProtocolVersion) + ")");
   }
 }
 
@@ -542,21 +585,32 @@ support::Json request_to_wire(const Request& request) {
   return support::Json(std::move(object));
 }
 
-Request request_from_wire(const support::Json& wire) {
-  if (!wire.is_object()) throw InvalidArgument("request must be a JSON object");
-  const support::JsonObject& object = wire.as_object();
-  check_protocol(object);
-  const std::string& name = required_field(object, "request", "request envelope").as_string();
-  if (name == "optimize") return optimize_from_wire(object);
-  if (name == "evaluate") return evaluate_from_wire(object);
-  if (name == "report") return report_from_wire(object);
-  if (name == "similarity") return similarity_from_wire(object);
-  if (name == "batch") return batch_from_wire(object);
-  if (name == "metric") return metric_from_wire(object);
-  if (name == "status") return status_from_wire(object);
-  if (name == "version") return version_from_wire(object);
+Request request_from_frame(std::string frame) {
+  // The views Json::scan returns point into the shared copy, which the
+  // adopted documents keep alive.
+  const auto text = std::make_shared<std::string>(std::move(frame));
+  support::JsonScan scan = support::Json::scan(*text);
+  if (!scan.canonical) {
+    *text = support::Json::parse(*text).dump();
+    scan = support::Json::scan(*text);
+  }
+  if (!scan.object) throw InvalidArgument("request must be a JSON object");
+  const Fields fields(text, std::move(scan.members));
+  const std::optional<support::Json> version = fields.find("icsdivd");
+  check_protocol(version ? &*version : nullptr);
+  const std::string name = fields.required("request", "request envelope").as_string();
+  if (name == "optimize") return optimize_from_wire(fields);
+  if (name == "evaluate") return evaluate_from_wire(fields);
+  if (name == "report") return report_from_wire(fields);
+  if (name == "similarity") return similarity_from_wire(fields);
+  if (name == "batch") return batch_from_wire(fields);
+  if (name == "metric") return metric_from_wire(fields);
+  if (name == "status") return status_from_wire(fields);
+  if (name == "version") return version_from_wire(fields);
   throw InvalidArgument("unknown request: " + name);
 }
+
+Request request_from_wire(const support::Json& wire) { return request_from_frame(wire.dump()); }
 
 std::string_view response_name(const Response& response) noexcept {
   struct Namer {
@@ -572,13 +626,13 @@ std::string_view response_name(const Response& response) noexcept {
   return std::visit(Namer{}, response);
 }
 
-support::Json response_to_wire(const Response& response) {
+support::Json response_to_wire(Response response) {
   support::JsonObject object;
   object.set("icsdivd", kProtocolVersion);
   object.set("status", support::Json(status_code_name(StatusCode::Ok)));
   object.set("response", support::Json(response_name(response)));
   object.set("result",
-             std::visit([](const auto& typed) { return result_to_json(typed); }, response));
+             std::visit([](auto& typed) { return result_to_json(std::move(typed)); }, response));
   return support::Json(std::move(object));
 }
 
@@ -593,7 +647,7 @@ support::Json error_to_wire(const ErrorBody& body) {
 Response response_from_wire(const support::Json& wire) {
   if (!wire.is_object()) throw ParseError("response must be a JSON object");
   const support::JsonObject& object = wire.as_object();
-  check_protocol(object);
+  check_protocol(object.find("icsdivd"));
   const std::string& status = required_field(object, "status", "response envelope").as_string();
   if (status != status_code_name(StatusCode::Ok)) {
     throw_error_body(ErrorBody::from_json(required_field(object, "error", "error envelope")));

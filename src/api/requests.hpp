@@ -25,6 +25,7 @@
 #include <variant>
 #include <vector>
 
+#include "api/document.hpp"
 #include "api/status.hpp"
 #include "runner/artifact_cache.hpp"
 #include "support/json.hpp"
@@ -39,7 +40,8 @@ inline constexpr std::string_view kServerName = "icsdivd/1.0";
 
 // ---------------------------------------------------------------------------
 // Requests.  Documents (catalog, network, assignment, feed, grid) are
-// carried inline as JSON values — the transport never sees file paths.
+// carried inline as canonical-text Documents (document.hpp) — the
+// transport never sees file paths.
 //
 // Every compute request carries an optional `timeout_ms` (0 = unbounded):
 // a wall-clock deadline over the request's whole server-side life,
@@ -52,8 +54,8 @@ inline constexpr std::string_view kServerName = "icsdivd/1.0";
 
 /// Compute the diversified assignment α̂ for a network ("optimize").
 struct OptimizeRequest {
-  support::Json catalog;
-  support::Json network;
+  Document catalog;
+  Document network;
   /// Registry name; empty = the default solver ("trws").
   std::string solver;
   /// Solver iteration cap; 0 = the solver default.  Part of the solve
@@ -65,9 +67,9 @@ struct OptimizeRequest {
 /// Diversity metrics of an existing assignment; with an entry/target host
 /// pair also d_bn, least attack effort and a 500-run MTTC estimate.
 struct EvaluateRequest {
-  support::Json catalog;
-  support::Json network;
-  support::Json assignment;
+  Document catalog;
+  Document network;
+  Document assignment;
   std::string entry;   ///< host name; both or neither of entry/target
   std::string target;  ///< host name
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
@@ -75,22 +77,22 @@ struct EvaluateRequest {
 
 /// Human-readable diversification report (full listing included).
 struct ReportRequest {
-  support::Json catalog;
-  support::Json network;
-  support::Json assignment;
+  Document catalog;
+  Document network;
+  Document assignment;
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
 };
 
 /// Pairwise CVE-overlap similarity of CPE queries against an NVD feed.
 struct SimilarityRequest {
-  support::Json feed;
+  Document feed;
   std::vector<std::string> cpes;  ///< at least two
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
 };
 
 /// Run a scenario grid through the staged batch engine.
 struct BatchRequest {
-  support::Json grid;
+  Document grid;
   std::size_t threads = 0;  ///< batch worker threads; 0 = hardware
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
   std::string store_dir;  ///< on-disk artifact store (DESIGN.md §13); "" = off
@@ -98,9 +100,9 @@ struct BatchRequest {
 
 /// d_bn (Def. 6) for one entry/target pair on an existing assignment.
 struct MetricRequest {
-  support::Json catalog;
-  support::Json network;
-  support::Json assignment;
+  Document catalog;
+  Document network;
+  Document assignment;
   std::string entry;   ///< host name
   std::string target;  ///< host name
   std::int64_t timeout_ms = 0;  ///< wall-clock deadline; 0 = none
@@ -124,8 +126,16 @@ using Request = std::variant<OptimizeRequest, EvaluateRequest, ReportRequest, Si
 /// Full wire envelope, {"icsdivd": 1, "request": name, ...fields}.
 [[nodiscard]] support::Json request_to_wire(const Request& request);
 
-/// Parses a wire envelope.  Throws InvalidArgument on unknown request
-/// names, unknown keys, missing fields, or a protocol version mismatch.
+/// Decodes one request frame (the envelope's JSON text).  Throws
+/// ParseError on malformed JSON (what Json::parse would throw), and
+/// InvalidArgument on unknown request names, unknown keys, missing
+/// fields, or a protocol version mismatch.  A canonical frame's documents
+/// adopt their spans of it without copying; any other frame is
+/// normalised once (parse, then dump) first, so spacing never changes a
+/// document's digest.
+[[nodiscard]] Request request_from_frame(std::string frame);
+
+/// request_from_frame over an already-parsed envelope.
 [[nodiscard]] Request request_from_wire(const support::Json& wire);
 
 // ---------------------------------------------------------------------------
@@ -243,8 +253,9 @@ using Response = std::variant<OptimizeResponse, EvaluateResponse, ReportResponse
 [[nodiscard]] std::string_view response_name(const Response& response) noexcept;
 
 /// Success envelope, {"icsdivd": 1, "status": "ok", "response": name,
-/// "result": {...}}.
-[[nodiscard]] support::Json response_to_wire(const Response& response);
+/// "result": {...}}.  Takes the response by value so a temporary's
+/// assignment or report moves into the envelope instead of being copied.
+[[nodiscard]] support::Json response_to_wire(Response response);
 
 /// Failure envelope, {"icsdivd": 1, "status": code, "error": body}.
 [[nodiscard]] support::Json error_to_wire(const ErrorBody& body);

@@ -109,7 +109,8 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Cache keys.  Domain constants separate the four key spaces; within one,
-// keys hash the exact request documents the computation depends on.
+// keys mix the digests of the request documents the computation depends
+// on (Document::digest(), computed once at decode — no key dumps JSON).
 
 enum class CacheDomain : std::uint64_t { Model = 101, Solve = 102, Eval = 103, Batch = 104 };
 
@@ -122,15 +123,14 @@ runner::KeyHasher domain_hasher(CacheDomain domain) {
   return hasher;
 }
 
-void mix_json(runner::KeyHasher& hasher, const support::Json& json) {
-  const std::string dump = json.dump();
-  hasher.mix(dump);
+void mix_key(runner::KeyHasher& hasher, const runner::ArtifactKey& key) {
+  hasher.mix(key.hi).mix(key.lo);
 }
 
-runner::ArtifactKey model_key(const support::Json& catalog, const support::Json& network) {
+runner::ArtifactKey model_key(const Document& catalog, const Document& network) {
   runner::KeyHasher hasher = domain_hasher(CacheDomain::Model);
-  mix_json(hasher, catalog);
-  mix_json(hasher, network);
+  mix_key(hasher, catalog.digest());
+  mix_key(hasher, network.digest());
   return hasher.key();
 }
 
@@ -307,16 +307,17 @@ class CoalescingCache {
   std::uint64_t tick_ ICSDIV_GUARDED_BY(mutex_) = 0;
 };
 
-/// The parsed model documents; built once per (catalog, network) content.
-/// Allocated behind shared_ptr and never moved: the network references
-/// products owned by `catalog`, so member addresses must be stable.
+/// The parsed model documents; built once per (catalog, network) content,
+/// the only place their DOMs get built.  Allocated behind shared_ptr and
+/// never moved: the network references products owned by `catalog`, so
+/// member addresses must be stable.
 struct ModelArtifact {
   core::ProductCatalog catalog;
   core::Network network;
 
-  ModelArtifact(const support::Json& catalog_json, const support::Json& network_json)
-      : catalog(core::catalog_from_json(catalog_json)),
-        network(core::network_from_json(catalog, network_json)) {}
+  ModelArtifact(const Document& catalog_document, const Document& network_document)
+      : catalog(core::catalog_from_json(catalog_document.json())),
+        network(core::network_from_json(catalog, network_document.json())) {}
   ModelArtifact(const ModelArtifact&) = delete;
   ModelArtifact& operator=(const ModelArtifact&) = delete;
 };
@@ -438,18 +439,18 @@ struct Session::Impl {
     return response;
   }
 
-  /// Parses (or reuses) the model documents; chained inside the dependent
-  /// caches' compute paths so model lookups are only planned on misses.
-  [[nodiscard]] std::shared_ptr<const ModelArtifact> get_model(const support::Json& catalog,
-                                                               const support::Json& network) {
+  /// Parses (or reuses) the model documents under `key` (their
+  /// model_key); chained inside the dependent caches' compute paths so
+  /// model lookups are only planned on misses.
+  [[nodiscard]] std::shared_ptr<const ModelArtifact> get_model(const runner::ArtifactKey& key,
+                                                               const Document& catalog,
+                                                               const Document& network) {
     // Model parsing is quick and its artifact is deadline-independent, so
     // it always runs to completion (inert token).
-    return models_
-        .get_or_compute(model_key(catalog, network), support::CancelToken(),
-                        [&](const support::CancelToken&) {
-                          return std::make_shared<const ModelArtifact>(catalog, network);
-                        })
-        .value;
+    const auto parse = [&](const support::CancelToken&) {
+      return std::make_shared<const ModelArtifact>(catalog, network);
+    };
+    return models_.get_or_compute(key, support::CancelToken(), parse).value;
   }
 
   void count_solve_seconds(double seconds) {
@@ -468,7 +469,8 @@ struct Session::Impl {
         request.solver.empty() ? core::OptimizeOptions{}.solver : request.solver;
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Solve);
     const runner::ArtifactKey model = model_key(request.catalog, request.network);
-    hasher.mix(model.hi).mix(model.lo).mix(solver);
+    mix_key(hasher, model);
+    hasher.mix(solver);
     // Different iteration caps are different solves; the deadline is NOT
     // part of the key (it never changes a completed result).
     hasher.mix(static_cast<std::uint64_t>(request.max_iterations));
@@ -477,7 +479,7 @@ struct Session::Impl {
         [&](const support::CancelToken& token) {
           support::failpoint::evaluate("session.compute");
           const std::shared_ptr<const ModelArtifact> artifact =
-              get_model(request.catalog, request.network);
+              get_model(model, request.catalog, request.network);
           core::OptimizeOptions options;
           options.solver = solver;
           if (request.max_iterations != 0) options.solve.max_iterations = request.max_iterations;
@@ -535,22 +537,22 @@ struct Session::Impl {
   [[nodiscard]] Response run(const EvaluateRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Evaluate));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
-    mix_json(hasher, request.assignment);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    mix_key(hasher, model);
+    mix_key(hasher, request.assignment.digest());
     hasher.mix(request.entry).mix(request.target);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network);
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment.json());
       EvaluateResponse response;
       response.edge_similarity = core::total_edge_similarity(assignment);
       response.average_similarity = core::average_edge_similarity(assignment);
       response.normalized_richness = core::normalized_effective_richness(assignment);
       if (!request.entry.empty()) {
-        const core::HostId entry = model->network.host_id(request.entry);
-        const core::HostId target = model->network.host_id(request.target);
+        const core::HostId entry = artifact->network.host_id(request.entry);
+        const core::HostId target = artifact->network.host_id(request.target);
         bayes::DiversityMetricOptions metric_options;
         metric_options.inference.cancel = token;
         const bayes::DiversityMetricResult metric =
@@ -575,15 +577,15 @@ struct Session::Impl {
   [[nodiscard]] Response run(const ReportRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Report));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
-    mix_json(hasher, request.assignment);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    mix_key(hasher, model);
+    mix_key(hasher, request.assignment.digest());
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network);
       token.check("session.report");
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment.json());
       core::ReportOptions options;
       options.include_full_listing = true;
       ReportResponse response;
@@ -595,10 +597,11 @@ struct Session::Impl {
   [[nodiscard]] Response run(const SimilarityRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Similarity));
-    mix_json(hasher, request.feed);
+    mix_key(hasher, request.feed.digest());
     hasher.mix_range(request.cpes);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const nvd::VulnerabilityDatabase feed = nvd::VulnerabilityDatabase::from_json(request.feed);
+      const nvd::VulnerabilityDatabase feed =
+          nvd::VulnerabilityDatabase::from_json(request.feed.json());
       token.check("session.similarity");
       std::vector<nvd::ProductRef> products;
       for (const std::string& cpe : request.cpes) {
@@ -620,20 +623,20 @@ struct Session::Impl {
   [[nodiscard]] Response run(const MetricRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Eval);
     hasher.mix(static_cast<std::uint64_t>(EvalOp::Metric));
-    mix_json(hasher, request.catalog);
-    mix_json(hasher, request.network);
-    mix_json(hasher, request.assignment);
+    const runner::ArtifactKey model = model_key(request.catalog, request.network);
+    mix_key(hasher, model);
+    mix_key(hasher, request.assignment.digest());
     hasher.mix(request.entry).mix(request.target);
     return eval_cached(hasher.key(), cancel, [&](const support::CancelToken& token) -> Response {
-      const std::shared_ptr<const ModelArtifact> model =
-          get_model(request.catalog, request.network);
+      const std::shared_ptr<const ModelArtifact> artifact =
+          get_model(model, request.catalog, request.network);
       const core::Assignment assignment =
-          core::Assignment::from_json(model->network, request.assignment);
+          core::Assignment::from_json(artifact->network, request.assignment.json());
       bayes::DiversityMetricOptions metric_options;
       metric_options.inference.cancel = token;
       const bayes::DiversityMetricResult metric =
-          bayes::bn_diversity_metric(assignment, model->network.host_id(request.entry),
-                                     model->network.host_id(request.target), metric_options);
+          bayes::bn_diversity_metric(assignment, artifact->network.host_id(request.entry),
+                                     artifact->network.host_id(request.target), metric_options);
       MetricResponse response;
       response.d_bn = metric.d_bn;
       response.p_with = metric.p_with_similarity;
@@ -644,7 +647,7 @@ struct Session::Impl {
 
   [[nodiscard]] Response run(const BatchRequest& request, const support::CancelToken& cancel) {
     runner::KeyHasher hasher = domain_hasher(CacheDomain::Batch);
-    mix_json(hasher, request.grid);
+    mix_key(hasher, request.grid.digest());
     hasher.mix(static_cast<std::uint64_t>(request.threads));
     // The store is part of the identity: a store-backed run and a bare
     // run of the same grid report different stage counters, so they must
@@ -655,7 +658,7 @@ struct Session::Impl {
     const auto outcome = batches_.get_or_compute(
         hasher.key(), cancel, [&](const support::CancelToken& token) {
           support::failpoint::evaluate("session.compute");
-          const runner::ScenarioGrid grid = runner::ScenarioGrid::from_json(request.grid);
+          const runner::ScenarioGrid grid = runner::ScenarioGrid::from_json(request.grid.json());
           const std::vector<runner::ScenarioSpec> specs = grid.expand();
           require(!specs.empty(), "batch", "grid expands to zero scenarios");
           // Fail on typos before any (potentially huge) workload gets built.

@@ -3,7 +3,8 @@
 // property (DESIGN.md §10).
 //
 // A Session owns four coalescing caches keyed by 128-bit content hashes
-// (runner::KeyHasher over the request documents):
+// (runner::KeyHasher over the digests of the request documents, see
+// api::Document — spacing in a frame never changes a key):
 //
 //   model  — parsed ProductCatalog + Network per (catalog, network) pair
 //   solve  — solved assignments per (model, solver)

@@ -148,17 +148,17 @@ struct Server::Impl {
           return;
         }
         if (!payload) break;
-        if (!serve_frame(connection, *payload)) return;
+        if (!serve_frame(connection, std::move(*payload))) return;
       }
     }
   }
 
   /// Executes one framed request; returns false when the reply cannot be
   /// written (peer vanished) and the connection should close.
-  bool serve_frame(Connection& connection, const std::string& payload) {
+  bool serve_frame(Connection& connection, std::string payload) {
     support::Json reply;
     try {
-      const api::Request request = api::request_from_wire(support::Json::parse(payload));
+      const api::Request request = api::request_from_frame(std::move(payload));
       reply = api::response_to_wire(session_.execute(request));
     } catch (const std::exception& error) {
       reply = api::error_to_wire(api::make_error_body(error));

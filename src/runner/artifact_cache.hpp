@@ -33,6 +33,7 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -78,7 +79,7 @@ class KeyHasher {
     std::memcpy(&bits, &value, sizeof bits);
     return mix(bits);
   }
-  KeyHasher& mix(const std::string& value) noexcept {
+  KeyHasher& mix(std::string_view value) noexcept {
     mix(static_cast<std::uint64_t>(value.size()));
     std::size_t offset = 0;
     for (; offset + 8 <= value.size(); offset += 8) {

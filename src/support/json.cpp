@@ -5,20 +5,38 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <unordered_set>
 
 namespace icsdiv::support {
 
 // ---------------------------------------------------------------------------
 // JsonObject
 
+JsonObject::JsonObject(const JsonObject& other)
+    : entries_(other.entries_),
+      index_(other.index_ ? std::make_unique<std::vector<std::uint32_t>>(*other.index_)
+                          : nullptr) {}
+
+JsonObject& JsonObject::operator=(const JsonObject& other) {
+  if (this != &other) *this = JsonObject(other);
+  return *this;
+}
+
 void JsonObject::set(std::string key, Json value) {
-  for (auto& [k, v] : entries_) {
-    if (k == key) {
-      v = std::move(value);
-      return;
-    }
+  if (const std::size_t found = find_index(key); found != entries_.size()) {
+    entries_[found].second = std::move(value);
+    return;
   }
   entries_.emplace_back(std::move(key), std::move(value));
+  if (index_) {
+    if (2 * entries_.size() > index_->size()) {
+      rebuild_index();
+    } else {
+      index_entry(entries_.size() - 1);
+    }
+  } else if (entries_.size() > kIndexedSize) {
+    rebuild_index();
+  }
 }
 
 bool JsonObject::contains(std::string_view key) const noexcept { return find(key) != nullptr; }
@@ -29,10 +47,39 @@ const Json& JsonObject::at(std::string_view key) const {
 }
 
 const Json* JsonObject::find(std::string_view key) const noexcept {
-  for (const auto& [k, v] : entries_) {
-    if (k == key) return &v;
+  const std::size_t found = find_index(key);
+  return found != entries_.size() ? &entries_[found].second : nullptr;
+}
+
+/// The entry holding `key`, or entries_.size() when there is none.
+std::size_t JsonObject::find_index(std::string_view key) const noexcept {
+  if (!index_) {
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      if (entries_[i].first == key) return i;
+    }
+    return entries_.size();
   }
-  return nullptr;
+  const std::vector<std::uint32_t>& slots = *index_;
+  const std::size_t mask = slots.size() - 1;
+  for (std::size_t slot = std::hash<std::string_view>{}(key) & mask;; slot = (slot + 1) & mask) {
+    if (slots[slot] == 0) return entries_.size();
+    if (entries_[slots[slot] - 1].first == key) return slots[slot] - 1;
+  }
+}
+
+void JsonObject::index_entry(std::size_t entry) {
+  std::vector<std::uint32_t>& slots = *index_;
+  const std::size_t mask = slots.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(entries_[entry].first) & mask;
+  while (slots[slot] != 0) slot = (slot + 1) & mask;
+  slots[slot] = static_cast<std::uint32_t>(entry + 1);
+}
+
+void JsonObject::rebuild_index() {
+  std::size_t size = 32;
+  while (size < 4 * entries_.size()) size *= 2;
+  index_ = std::make_unique<std::vector<std::uint32_t>>(size, 0);
+  for (std::size_t i = 0; i < entries_.size(); ++i) index_entry(i);
 }
 
 // ---------------------------------------------------------------------------
@@ -202,26 +249,57 @@ std::string Json::dump_pretty() const {
 
 // ---------------------------------------------------------------------------
 // Parser
+//
+// One recursive-descent parser in two modes.  Build mode (kBuild) returns
+// the DOM.  Scan mode builds nothing: values parse to an empty Value,
+// strings are not decoded, and the parser instead tracks whether the text
+// is canonical and records the spans of the top-level members.  Both modes
+// run the same grammar checks in the same order, so they accept the same
+// texts and fail with the same ParseError positions.
 
 namespace {
 
+template <bool kBuild>
 class Parser {
  public:
   explicit Parser(std::string_view text) : text_(text) {}
 
-  Json parse_document() {
+  /// What a value parses to: the DOM node, or nothing in scan mode.
+  using Value = std::conditional_t<kBuild, Json, std::monostate>;
+
+  Value parse_document() {
     skip_whitespace();
-    Json value = parse_value();
+    Value value = parse_value(0);
     skip_whitespace();
     if (pos_ != text_.size()) fail("trailing characters after JSON document");
     return value;
   }
 
+  JsonScan scan_document()
+    requires(!kBuild)
+  {
+    JsonScan scan;
+    members_ = &scan.members;
+    skip_whitespace();
+    scan.object = !eof() && text_[pos_] == '{';
+    (void)parse_document();
+    scan.canonical = canonical_;
+    return scan;
+  }
+
  private:
+  /// A string token: decoded in build mode, the raw text between the
+  /// quotes in scan mode.
+  using String = std::conditional_t<kBuild, std::string, std::string_view>;
+
   std::string_view text_;
   std::size_t pos_ = 0;
   std::size_t line_ = 1;
   std::size_t line_start_ = 0;
+  // Whether the text so far is canonical; only scan mode reports it and
+  // runs the costlier checks (duplicate keys, double spellings).
+  bool canonical_ = true;
+  std::vector<JsonScan::Member>* members_ = nullptr;
 
   [[noreturn]] void fail(const std::string& message) const {
     throw ParseError("JSON: " + message, line_, pos_ - line_start_ + 1);
@@ -249,6 +327,7 @@ class Parser {
   }
 
   void skip_whitespace() {
+    const std::size_t start = pos_;
     while (!eof()) {
       char c = text_[pos_];
       if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
@@ -257,16 +336,27 @@ class Parser {
         break;
       }
     }
+    if (pos_ != start) canonical_ = false;
   }
 
-  Json parse_value() {
+  template <typename T>
+  static Value value_of([[maybe_unused]] T&& value) {
+    if constexpr (kBuild) {
+      return Json(std::forward<T>(value));
+    } else {
+      return {};
+    }
+  }
+
+  /// `depth` counts the containers enclosing the value.
+  Value parse_value(std::size_t depth) {
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't': parse_literal("true"); return Json(true);
-      case 'f': parse_literal("false"); return Json(false);
-      case 'n': parse_literal("null"); return Json(nullptr);
+      case '{': return parse_object(depth + 1);
+      case '[': return parse_array(depth + 1);
+      case '"': return value_of(parse_string());
+      case 't': parse_literal("true"); return value_of(true);
+      case 'f': parse_literal("false"); return value_of(false);
+      case 'n': parse_literal("null"); return value_of(nullptr);
       default: return parse_number();
     }
   }
@@ -277,53 +367,122 @@ class Parser {
     }
   }
 
-  Json parse_object() {
+  void check_depth(std::size_t depth) const {
+    if (depth > kMaxJsonDepth) {
+      fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+    }
+  }
+
+  Value parse_object(std::size_t depth) {
+    check_depth(depth);
     expect('{');
-    JsonObject object;
+    [[maybe_unused]] std::conditional_t<kBuild, JsonObject, std::monostate> object;
+    [[maybe_unused]] std::conditional_t<kBuild, std::monostate, KeySet> keys;
     skip_whitespace();
     if (peek() == '}') {
       advance();
-      return Json(std::move(object));
+      return value_of(std::move(object));
     }
     while (true) {
       skip_whitespace();
       if (peek() != '"') fail("expected object key string");
-      std::string key = parse_string();
+      const std::size_t key_start = pos_;
+      String key = parse_string();
       skip_whitespace();
       expect(':');
       skip_whitespace();
-      object.set(std::move(key), parse_value());
+      const std::size_t value_start = pos_;
+      if constexpr (kBuild) {
+        object.set(std::move(key), parse_value(depth));
+      } else {
+        (void)parse_value(depth);
+        // Canonical text has no duplicate keys: dump() would drop one.
+        // Raw spans compare exactly here, because canonical escaping is
+        // one-to-one (a non-canonical escape already cleared canonical_).
+        if (canonical_ && !keys.insert(key)) canonical_ = false;
+        if (depth == 1 && members_ != nullptr) {
+          members_->push_back({decode_key(key, key_start),
+                               text_.substr(value_start, pos_ - value_start)});
+        }
+      }
       skip_whitespace();
       char c = advance();
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return Json(std::move(object));
+    return value_of(std::move(object));
   }
 
-  Json parse_array() {
+  Value parse_array(std::size_t depth) {
+    check_depth(depth);
     expect('[');
-    JsonArray array;
+    [[maybe_unused]] std::conditional_t<kBuild, JsonArray, std::monostate> array;
     skip_whitespace();
     if (peek() == ']') {
       advance();
-      return Json(std::move(array));
+      return value_of(std::move(array));
     }
     while (true) {
       skip_whitespace();
-      array.push_back(parse_value());
+      if constexpr (kBuild) {
+        array.push_back(parse_value(depth));
+      } else {
+        (void)parse_value(depth);
+      }
       skip_whitespace();
       char c = advance();
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
-    return Json(std::move(array));
+    return value_of(std::move(array));
   }
 
-  std::string parse_string() {
+  /// Scan mode's duplicate-key check: linear over a few keys, hashed past.
+  class KeySet {
+   public:
+    /// False when `key` was already present.
+    bool insert(std::string_view key) {
+      if (count_ < small_.size()) {
+        for (std::size_t i = 0; i < count_; ++i) {
+          if (small_[i] == key) return false;
+        }
+        small_[count_++] = key;
+        return true;
+      }
+      if (!large_) {
+        large_ = std::make_unique<std::unordered_set<std::string_view>>(small_.begin(),
+                                                                        small_.end());
+      }
+      return large_->insert(key).second;
+    }
+
+   private:
+    std::array<std::string_view, 8> small_;
+    std::size_t count_ = 0;
+    std::unique_ptr<std::unordered_set<std::string_view>> large_;
+  };
+
+  /// The decoded text of a raw scanned key starting at `quote`.
+  [[nodiscard]] std::string decode_key(std::string_view raw, std::size_t quote) const {
+    if (raw.find('\\') == std::string_view::npos) return std::string(raw);
+    return Json::parse(text_.substr(quote, raw.size() + 2)).as_string();
+  }
+
+  String parse_string() {
     expect('"');
-    std::string out;
+    std::string out;  // scan mode appends only the escapes, then drops it
+    const std::size_t start = pos_;
     while (true) {
+      // Plain bytes in bulk: nothing below 0x20 (so no newline), no quote
+      // and no backslash.
+      std::size_t run = pos_;
+      while (run < text_.size()) {
+        const auto c = static_cast<unsigned char>(text_[run]);
+        if (c == '"' || c == '\\' || c < 0x20) break;
+        ++run;
+      }
+      if constexpr (kBuild) out.append(text_.data() + pos_, run - pos_);
+      pos_ = run;
       char c = advance();
       if (c == '"') break;
       if (c == '\\') {
@@ -331,22 +490,48 @@ class Parser {
         switch (esc) {
           case '"': out.push_back('"'); break;
           case '\\': out.push_back('\\'); break;
-          case '/': out.push_back('/'); break;
+          case '/':
+            out.push_back('/');
+            canonical_ = false;  // dump() writes '/' bare
+            break;
           case 'b': out.push_back('\b'); break;
           case 'f': out.push_back('\f'); break;
           case 'n': out.push_back('\n'); break;
           case 'r': out.push_back('\r'); break;
           case 't': out.push_back('\t'); break;
-          case 'u': append_unicode_escape(out); break;
+          case 'u': {
+            const std::size_t hex = pos_;
+            const unsigned code = parse_unicode_escape();
+            append_utf8(out, code);
+            if (!kBuild && !canonical_unicode_escape(text_.substr(hex, pos_ - hex), code)) {
+              canonical_ = false;
+            }
+            break;
+          }
           default: fail("invalid escape sequence");
         }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        fail("unescaped control character in string");
       } else {
-        out.push_back(c);
+        fail("unescaped control character in string");
       }
     }
-    return out;
+    if constexpr (kBuild) {
+      return out;
+    } else {
+      return text_.substr(start, pos_ - 1 - start);
+    }
+  }
+
+  /// dump() writes \uXXXX (four lowercase hex digits) only for control
+  /// characters without a short escape; every other character it writes
+  /// bare or as \" \\ \b \f \n \r \t.
+  static bool canonical_unicode_escape(std::string_view digits, unsigned code) {
+    if (code >= 0x20 || code == '\b' || code == '\f' || code == '\n' || code == '\r' ||
+        code == '\t') {
+      return false;
+    }
+    std::array<char, 8> buf{};
+    std::snprintf(buf.data(), buf.size(), "%04x", code);
+    return digits == std::string_view(buf.data(), 4);
   }
 
   unsigned parse_hex4() {
@@ -367,7 +552,8 @@ class Parser {
     return value;
   }
 
-  void append_unicode_escape(std::string& out) {
+  /// The code point of a \u escape (a surrogate pair spans two).
+  unsigned parse_unicode_escape() {
     unsigned code = parse_hex4();
     if (code >= 0xD800 && code <= 0xDBFF) {  // high surrogate: a low one must follow
       if (advance() != '\\' || advance() != 'u') fail("unpaired surrogate");
@@ -377,7 +563,7 @@ class Parser {
     } else if (code >= 0xDC00 && code <= 0xDFFF) {
       fail("unpaired low surrogate");
     }
-    append_utf8(out, code);
+    return code;
   }
 
   static void append_utf8(std::string& out, unsigned code) {
@@ -398,7 +584,7 @@ class Parser {
     }
   }
 
-  Json parse_number() {
+  Value parse_number() {
     const std::size_t start = pos_;
     if (peek() == '-') advance();
     if (eof()) fail("truncated number");
@@ -427,18 +613,30 @@ class Parser {
     if (is_integer) {
       std::int64_t value = 0;
       auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
-      if (ec == std::errc() && ptr == token.data() + token.size()) return Json(value);
+      if (ec == std::errc() && ptr == token.data() + token.size()) {
+        // The grammar admits no leading zeros, so std::to_string gives
+        // back every in-range integer token except "-0".
+        if (token == "-0") canonical_ = false;
+        return value_of(value);
+      }
       // Fall through to double on overflow.
     }
     double value = 0.0;
     auto [ptr, ec] = std::from_chars(token.data(), token.data() + token.size(), value);
     if (ec != std::errc() || ptr != token.data() + token.size()) fail("unparseable number");
-    return Json(value);
+    if (!kBuild && canonical_) {
+      std::array<char, 32> buf{};
+      const auto written = std::to_chars(buf.data(), buf.data() + buf.size(), value);
+      canonical_ = token == std::string_view(buf.data(), written.ptr);
+    }
+    return value_of(value);
   }
 };
 
 }  // namespace
 
-Json Json::parse(std::string_view text) { return Parser(text).parse_document(); }
+Json Json::parse(std::string_view text) { return Parser<true>(text).parse_document(); }
+
+JsonScan Json::scan(std::string_view text) { return Parser<false>(text).scan_document(); }
 
 }  // namespace icsdiv::support

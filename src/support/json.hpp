@@ -9,7 +9,15 @@
 // Supported: objects, arrays, strings (with \uXXXX escapes, surrogate
 // pairs), numbers (doubles and exact 64-bit integers), booleans, null.
 // Not supported (by design): comments, NaN/Infinity literals, duplicate-key
-// detection (last key wins, as with most parsers).
+// detection (the last value wins, at the first key's position), nesting
+// deeper than kMaxJsonDepth (a ParseError, so hostile input cannot exhaust
+// the stack).
+//
+// Canonical form: the text Json::dump() writes — no whitespace between
+// tokens, strings escaped exactly as the writer escapes them, numbers
+// spelled as the writer spells them, no duplicate keys.  Json::scan()
+// validates a document without building it and reports whether it is
+// canonical, i.e. whether `Json::parse(text).dump() == text`.
 #pragma once
 
 #include <cstdint>
@@ -26,15 +34,24 @@ namespace icsdiv::support {
 
 class Json;
 
+/// Deepest array/object nesting the parser accepts.
+inline constexpr std::size_t kMaxJsonDepth = 256;
+
 /// Ordered object representation: preserves insertion order so that
-/// serialised feeds diff cleanly; lookup is linear but objects are small.
+/// serialised feeds diff cleanly.  Small objects are searched linearly;
+/// past kIndexedSize entries a hash index over the entries keeps insert
+/// and lookup O(1), so building or parsing an n-key object is O(n).
 class JsonObject {
  public:
   using Entry = std::pair<std::string, Json>;
 
   JsonObject() = default;
+  JsonObject(const JsonObject& other);
+  JsonObject& operator=(const JsonObject& other);
+  JsonObject(JsonObject&&) noexcept = default;
+  JsonObject& operator=(JsonObject&&) noexcept = default;
 
-  /// Inserts or overwrites `key`.
+  /// Inserts `key` at the end, or overwrites its value in place.
   void set(std::string key, Json value);
   [[nodiscard]] bool contains(std::string_view key) const noexcept;
   /// Throws NotFound if the key is absent.
@@ -48,10 +65,32 @@ class JsonObject {
   [[nodiscard]] auto end() const noexcept { return entries_.end(); }
 
  private:
+  static constexpr std::size_t kIndexedSize = 8;
+
+  [[nodiscard]] std::size_t find_index(std::string_view key) const noexcept;
+  void index_entry(std::size_t entry);
+  void rebuild_index();
+
   std::vector<Entry> entries_;
+  /// Open-addressing table of entry positions + 1 (0 = empty slot); its
+  /// size is a power of two at least twice the entry count.  Null while
+  /// the object has at most kIndexedSize entries.
+  std::unique_ptr<std::vector<std::uint32_t>> index_;
 };
 
 using JsonArray = std::vector<Json>;
+
+/// What Json::scan learned about a document it validated without
+/// building it.
+struct JsonScan {
+  struct Member {
+    std::string key;         ///< decoded
+    std::string_view value;  ///< the value's exact text, a view into the scanned text
+  };
+  bool object = false;          ///< the document is an object
+  std::vector<Member> members;  ///< its members in text order, duplicates included
+  bool canonical = false;       ///< Json::parse(text).dump() == text
+};
 
 /// A JSON value.  Integers that fit in int64 are kept exact; other numbers
 /// are doubles.
@@ -99,6 +138,9 @@ class Json {
 
   /// Parses a complete JSON document; trailing garbage is an error.
   static Json parse(std::string_view text);
+  /// Validates a document exactly as parse() does (same grammar, depth
+  /// limit and ParseError positions) without building it.
+  static JsonScan scan(std::string_view text);
 
  private:
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, JsonArray, JsonObject>

@@ -105,6 +105,55 @@ TEST(Session, WarmCacheServesRepeatsAndDistinguishesSolvers) {
   EXPECT_EQ(status.model_cache.executed, 1u);  // same documents throughout
 }
 
+TEST(Session, PrettyAndCompactFramesShareOneSolveCacheEntry) {
+  const Documents documents = make_documents();
+  Session session;
+  const support::Json wire = request_to_wire(optimize_request(documents));
+  const std::string compact = wire.dump();
+  const std::string pretty = wire.dump_pretty();
+  ASSERT_NE(compact, pretty);
+
+  const Response first = session.execute(request_from_frame(compact));
+  const std::size_t hits_before = session.status().solve_cache.hits;
+  const Response second = session.execute(request_from_frame(pretty));
+  EXPECT_FALSE(std::get<OptimizeResponse>(first).cached);
+  EXPECT_TRUE(std::get<OptimizeResponse>(second).cached);
+  EXPECT_EQ(session.status().solve_cache.hits, hits_before + 1);
+  EXPECT_EQ(session.status().solve_cache.executed, 1u);
+
+  // Apart from `cached`, the replies are byte-identical.
+  OptimizeResponse uncached = std::get<OptimizeResponse>(second);
+  uncached.cached = false;
+  EXPECT_EQ(response_to_wire(uncached).dump(), response_to_wire(first).dump());
+}
+
+TEST(Session, DocumentDigestIsTheContentNotTheSpelling) {
+  const Documents documents = make_documents();
+  const Document built(documents.network);
+  const Request decoded = request_from_frame(
+      request_to_wire(optimize_request(documents)).dump_pretty());
+  const Document& adopted = std::get<OptimizeRequest>(decoded).network;
+  EXPECT_EQ(adopted.digest(), built.digest());
+  EXPECT_EQ(adopted.text(), built.text());
+  EXPECT_EQ(built.text(), documents.network.dump());
+  EXPECT_EQ(adopted.json().dump(), documents.network.dump());  // the lazily built DOM
+  EXPECT_NE(Document(documents.catalog).digest(), built.digest());
+}
+
+TEST(Session, AdoptedDocumentBuildsItsDomOnceAcrossThreads) {
+  const Documents documents = make_documents();
+  const Request decoded = request_from_frame(request_to_wire(optimize_request(documents)).dump());
+  const Document& network = std::get<OptimizeRequest>(decoded).network;
+  std::vector<std::future<const support::Json*>> futures;
+  for (int i = 0; i < 8; ++i) {
+    futures.push_back(std::async(std::launch::async, [&] { return &network.json(); }));
+  }
+  std::set<const support::Json*> doms;
+  for (auto& future : futures) doms.insert(future.get());
+  EXPECT_EQ(doms.size(), 1u);
+  EXPECT_EQ((*doms.begin())->dump(), network.text());
+}
+
 TEST(Session, EvaluateIsCachedAndChecksHosts) {
   const Documents documents = make_documents();
   Session session;

@@ -137,6 +137,47 @@ TEST(DaemonServer, MalformedPayloadGetsErrorEnvelopeAndConnectionSurvives) {
   server.shutdown();
 }
 
+TEST(DaemonServer, DeeplyNestedFrameGetsErrorEnvelopeAndDaemonStaysUp) {
+  const std::string socket_path = unique_socket_path("deep");
+  Server server(unix_options(socket_path));
+  server.start();
+
+  // 200 KB of nesting: far under the frame cap, far over the depth cap.
+  Client client = Client::connect(server.endpoint());
+  const std::string deep = R"({"request":"optimize","catalog":)" + std::string(200000, '[');
+  const support::Json reply = support::Json::parse(client.call_text(deep));
+  EXPECT_EQ(reply.as_object().at("status").as_string(), "parse_error");
+  EXPECT_NE(reply.as_object().at("error").as_object().at("message").as_string().find("nesting"),
+            std::string::npos);
+
+  const auto status = std::get<api::StatusResponse>(client.call(api::StatusRequest{}));
+  EXPECT_EQ(status.requests_total, 1u);  // the deep frame never became a request
+  server.shutdown();
+}
+
+TEST(DaemonServer, PrettyAndCompactFramesShareOneSolve) {
+  const std::string socket_path = unique_socket_path("canonical");
+  Server server(unix_options(socket_path));
+  server.start();
+
+  const support::Json wire = api::request_to_wire(small_optimize_request());
+  Client client = Client::connect(server.endpoint());
+  const std::string compact_reply = client.call_text(wire.dump());
+  const std::size_t hits_before = server.session().status().solve_cache.hits;
+  const std::string pretty_reply = client.call_text(wire.dump_pretty());
+  EXPECT_EQ(server.session().status().solve_cache.hits, hits_before + 1);
+
+  // Apart from `cached`, the replies are byte-identical.
+  const auto without_cached = [](std::string text, const std::string& flag) {
+    const std::size_t at = text.find(flag);
+    EXPECT_NE(at, std::string::npos) << text;
+    return at == std::string::npos ? text : text.erase(at, flag.size());
+  };
+  EXPECT_EQ(without_cached(compact_reply, R"("cached":false)"),
+            without_cached(pretty_reply, R"("cached":true)"));
+  server.shutdown();
+}
+
 TEST(DaemonServer, TcpEphemeralPortRoundTrip) {
   ServerOptions options;
   options.endpoint = support::Endpoint::parse("tcp:127.0.0.1:0");

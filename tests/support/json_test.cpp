@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+
 namespace icsdiv::support {
 namespace {
 
@@ -75,6 +78,60 @@ TEST(JsonParse, ErrorCarriesLocation) {
   }
 }
 
+TEST(JsonParse, NestingDepthIsCapped) {
+  // kMaxJsonDepth levels parse; one more is a typed error at the opening
+  // bracket that exceeds the cap, not a stack overflow.
+  const std::string deepest = std::string(kMaxJsonDepth, '[') + std::string(kMaxJsonDepth, ']');
+  EXPECT_NO_THROW((void)Json::parse(deepest));
+  const std::string too_deep = "{\"a\":" + std::string(100000, '[');
+  try {
+    (void)Json::parse(too_deep);
+    FAIL() << "expected ParseError";
+  } catch (const ParseError& e) {
+    EXPECT_NE(std::string(e.what()).find("nesting deeper than 256 levels"), std::string::npos)
+        << e.what();
+    EXPECT_EQ(e.line(), 1u);
+    // The object is level 1, so the 256th '[' (column 5 + 256) is 257.
+    EXPECT_EQ(e.column(), 5u + kMaxJsonDepth);
+  }
+}
+
+TEST(JsonParse, DuplicateKeysLastValueWinsAtFirstPosition) {
+  const Json doc = Json::parse(R"({"a":1,"b":2,"a":3})");
+  EXPECT_EQ(doc.as_object().size(), 2u);
+  EXPECT_EQ(doc.dump(), R"({"a":3,"b":2})");
+  // The same rule past the size where objects switch to a hash index.
+  std::string text = "{";
+  for (int i = 0; i < 20; ++i) text += "\"k" + std::to_string(i) + "\":" + std::to_string(i) + ",";
+  text += R"("k3":"late","k19":"last"})";
+  const Json big = Json::parse(text);
+  ASSERT_EQ(big.as_object().size(), 20u);
+  EXPECT_EQ(big.as_object().at("k3").as_string(), "late");
+  EXPECT_EQ(big.as_object().at("k19").as_string(), "last");
+  EXPECT_EQ(big.as_object().begin()[3].first, "k3");
+  EXPECT_EQ(big.as_object().begin()[19].first, "k19");
+}
+
+TEST(JsonParse, ManyKeyObjectParsesInLinearTime) {
+  // 200k keys: a linear scan per insert would take minutes; a generous
+  // bound still catches a return to quadratic behaviour.
+  constexpr int kKeys = 200000;
+  std::string text = "{";
+  for (int i = 0; i < kKeys; ++i) {
+    if (i > 0) text += ",";
+    text += "\"key" + std::to_string(i) + "\":" + std::to_string(i);
+  }
+  text += "}";
+  const auto start = std::chrono::steady_clock::now();
+  const Json doc = Json::parse(text);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  ASSERT_EQ(doc.as_object().size(), static_cast<std::size_t>(kKeys));
+  EXPECT_EQ(doc.as_object().at("key123456").as_integer(), 123456);
+  EXPECT_EQ(doc.as_object().find("key200000"), nullptr);
+  EXPECT_LT(seconds, 10.0);
+}
+
 TEST(JsonDump, RoundTrip) {
   const char* documents[] = {
       R"({"a":[1,2,3],"b":{"c":"d"},"e":null,"f":true,"g":1.25})",
@@ -112,6 +169,21 @@ TEST(JsonObject, SetOverwrites) {
   object.set("k", Json(2));
   EXPECT_EQ(object.size(), 1u);
   EXPECT_EQ(object.at("k").as_integer(), 2);
+}
+
+TEST(JsonObject, IndexedCopyIsIndependent) {
+  JsonObject object;
+  for (int i = 0; i < 40; ++i) object.set("k" + std::to_string(i), Json(i));
+  JsonObject copy = object;
+  copy.set("k7", Json("changed"));
+  copy.set("extra", Json(true));
+  EXPECT_EQ(object.at("k7").as_integer(), 7);
+  EXPECT_EQ(object.find("extra"), nullptr);
+  EXPECT_EQ(copy.at("k7").as_string(), "changed");
+  EXPECT_EQ(copy.size(), 41u);
+  object = copy;
+  EXPECT_TRUE(object.at("extra").as_boolean());
+  for (int i = 0; i < 40; ++i) EXPECT_TRUE(object.contains("k" + std::to_string(i)));
 }
 
 TEST(JsonObject, MissingKeyThrows) {

@@ -5,7 +5,9 @@ Starts the daemon on a throwaway unix socket and drives it exactly like a
 third-party client would: raw length-prefixed JSON frames over a socket,
 no icsdiv code on this side.  Checks the version handshake, warm-cache
 optimize behaviour, error envelopes, batch parity with `icsdiv_cli batch`,
-the status counters, and a clean SIGTERM drain.
+the status counters, hostile frames (deep nesting, a 40k-key object),
+that a whitespace-padded frame hits the cache entry of its compact twin,
+and a clean SIGTERM drain.
 
 Usage: daemon_smoke.py ICSDIVD_BIN ICSDIV_CLI_BIN GRID_JSON
 """
@@ -37,10 +39,14 @@ def recv_exact(sock, count: int) -> bytes:
     return data
 
 
-def call(sock, request: dict) -> dict:
-    send_frame(sock, json.dumps(request).encode())
+def call_text(sock, payload: str) -> dict:
+    send_frame(sock, payload.encode())
     (length,) = struct.unpack(">I", recv_exact(sock, 4))
     return json.loads(recv_exact(sock, length))
+
+
+def call(sock, request: dict) -> dict:
+    return call_text(sock, json.dumps(request))
 
 
 def expect(condition, message):
@@ -174,6 +180,28 @@ def main() -> int:
         solve = status["stage_stats"]["solve"]
         expect(solve["planned"] == 2 and solve["executed"] == 1 and solve["hits"] == 1,
                f"bad solve counters: {solve}")
+
+        # --- Hostile frames fail cleanly and the daemon stays up.
+        deep = '{"request":"optimize","catalog":' + "[" * 200000
+        error = call_text(sock, deep)
+        expect(error["status"] == "parse_error", f"deep frame not rejected: {error}")
+        result_of(call(sock, {"icsdivd": PROTOCOL, "request": "status"}), "status")
+
+        # Sent compact, so the daemon's only full passes over the 40k-key
+        # object are the frame scan and the catalog parse on the model miss.
+        wide = dict(optimize, catalog={f"k{index}": index for index in range(40000)})
+        started = time.time()
+        error = call_text(sock, json.dumps(wide, separators=(",", ":")))
+        elapsed = time.time() - started
+        expect(error["status"] == "not_found", f"40k-key frame: unexpected reply {error}")
+        expect(elapsed < 1.0, f"40k-key frame took {elapsed:.2f} s")
+
+        # --- Spacing is not identity: a padded frame hits its compact twin.
+        twin = dict(optimize, solver="trws")
+        compact = result_of(call_text(sock, json.dumps(twin, separators=(",", ":"))), "optimize")
+        padded = result_of(call_text(sock, " " + json.dumps(twin, indent=4) + "\n"), "optimize")
+        expect(not compact["cached"] and padded["cached"], "padded optimize missed the cache")
+        expect(compact["assignment"] == padded["assignment"], "cached assignment differs")
         sock.close()
 
         # --- SIGTERM must drain and exit 0, removing the socket file.
