@@ -3,6 +3,7 @@
 // simulator tick loop, and JSON feed parsing.
 #include <benchmark/benchmark.h>
 
+#include "bayes/least_effort.hpp"
 #include "bayes/metric.hpp"
 #include "bayes/reliability.hpp"
 #include "bench_util.hpp"
@@ -13,6 +14,7 @@
 #include "mrf/trws.hpp"
 #include "nvd/paper_tables.hpp"
 #include "runner/batch_runner.hpp"
+#include "runner/workload.hpp"
 #include "sim/worm_sim.hpp"
 #include "support/json.hpp"
 #include "support/rng.hpp"
@@ -223,6 +225,64 @@ void BM_DbnMetric(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_DbnMetric)->Arg(50000)->Arg(400000);
+
+/// The evaluate path's inputs: a request-path benchmark network (average
+/// degree 8, 4 services × 4 products) under its TRW-S optimum, queried on
+/// the first four evaluate-miss pairs, entry 2 + k → target hosts − 1 − 7k.
+/// Three of the four end Infeasible for the exact engine.
+struct EvaluatePathInstance {
+  runner::WorkloadInstance workload;
+  core::Assignment assignment;
+  std::vector<std::pair<core::HostId, core::HostId>> pairs;
+};
+
+EvaluatePathInstance make_evaluate_path_instance(std::size_t hosts) {
+  runner::WorkloadParams params;
+  params.hosts = hosts;
+  params.average_degree = 8.0;
+  params.services = 4;
+  params.products_per_service = 4;
+  params.seed = 2020 + hosts * 10;
+  runner::WorkloadInstance workload = runner::make_workload(params);
+  core::Assignment assignment = core::Optimizer(*workload.network).optimize().assignment;
+  std::vector<std::pair<core::HostId, core::HostId>> pairs;
+  for (std::size_t k = 0; k < 4; ++k) {
+    pairs.emplace_back(static_cast<core::HostId>(2 + k),
+                       static_cast<core::HostId>(hosts - 1 - 7 * k));
+  }
+  return {std::move(workload), std::move(assignment), std::move(pairs)};
+}
+
+void BM_DbnMetricAuto(benchmark::State& state) {
+  // d_bn as an evaluate request computes it, default options: the Auto
+  // engine tries the exact reducer on both nets and samples whatever
+  // stays too large on the global pool (ICSDIV_THREADS=1 makes the
+  // sampling sequential; the estimate is the same at any width).
+  const EvaluatePathInstance instance =
+      make_evaluate_path_instance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const auto& [entry, target] : instance.pairs) {
+      benchmark::DoNotOptimize(bayes::bn_diversity_metric(instance.assignment, entry, target).d_bn);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(instance.pairs.size()));
+}
+BENCHMARK(BM_DbnMetricAuto)->Arg(2000)->Unit(benchmark::kMillisecond);
+
+void BM_LeastEffort(benchmark::State& state) {
+  const EvaluatePathInstance instance =
+      make_evaluate_path_instance(static_cast<std::size_t>(state.range(0)));
+  for (auto _ : state) {
+    for (const auto& [entry, target] : instance.pairs) {
+      benchmark::DoNotOptimize(
+          bayes::least_attack_effort(instance.assignment, entry, target).exploit_count);
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(instance.pairs.size()));
+}
+BENCHMARK(BM_LeastEffort)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 /// Round-robin assignment over each instance's candidate list — the cheap
 /// diversified stand-in for the Optimizer at worm-bench scale (running the

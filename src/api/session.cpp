@@ -560,7 +560,9 @@ struct Session::Impl {
         response.pair_evaluated = true;
         response.d_bn = metric.d_bn;
         response.log10_p_with = metric.log10_with();
-        response.exploit_count = bayes::least_attack_effort(assignment, entry, target).exploit_count;
+        const bayes::LeastEffortResult effort = bayes::least_attack_effort(
+            assignment, entry, target, bayes::kMaxDistinctProducts, token);
+        response.exploit_count = effort.exploit_count;
         sim::SimulationParams params;
         params.cancel = token;
         const sim::WormSimulator simulator(assignment, params);

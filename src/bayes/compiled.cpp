@@ -363,7 +363,8 @@ double CompiledReliability::compromise_probability(core::HostId target,
 
   if (options.engine != InferenceEngine::MonteCarlo) {
     try {
-      return reliability_exact(reliability_problem(target), options.exact_max_edges);
+      return reliability_exact(reliability_problem(target), options.exact_max_edges,
+                               options.cancel);
     } catch (const Infeasible&) {
       if (options.engine == InferenceEngine::Exact) throw;
     }
@@ -397,9 +398,10 @@ ReliabilitySweep CompiledReliability::solve_targets(std::span<const core::HostId
       continue;
     }
     try {
-      const double p = reliability_exact(reliability_problem(target), options.exact_max_edges);
+      const double p = reliability_exact(reliability_problem(target), options.exact_max_edges,
+                                         options.cancel);
       const double p_baseline = reliability_exact(reliability_problem(target, /*baseline=*/true),
-                                                  options.exact_max_edges);
+                                                  options.exact_max_edges, options.cancel);
       sweep.p[target] = p;
       sweep.p_baseline[target] = p_baseline;
     } catch (const Infeasible&) {

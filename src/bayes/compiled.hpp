@@ -70,9 +70,11 @@ struct InferenceOptions {
   /// path included.
   bool parallel = true;
   std::size_t threads = 0;
-  /// Cooperative cancellation, polled between Monte-Carlo sample chunks.
-  /// A partial estimate has no principled error bars, so expiry throws
-  /// (DeadlineExceededError / CancelledError).  Never affects results and
+  /// Cooperative cancellation, polled between Monte-Carlo sample chunks
+  /// ("bayes.mc") and per exact reduction sweep / factoring node
+  /// ("bayes.exact").  A partial estimate has no principled error bars, so
+  /// expiry throws (DeadlineExceededError / CancelledError) — never the
+  /// Infeasible that sends Auto to sampling.  Never affects results and
   /// is excluded from artifact keys.
   support::CancelToken cancel;
 };

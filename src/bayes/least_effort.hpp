@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "core/assignment.hpp"
+#include "support/cancel.hpp"
 
 namespace icsdiv::bayes {
 
@@ -34,11 +35,17 @@ struct LeastEffortResult {
   std::vector<core::HostId> host_order;
 };
 
+/// Exact-search limit on distinct products (the state space is 2^distinct).
+inline constexpr std::size_t kMaxDistinctProducts = 24;
+
 /// Exact minimum-effort computation.  Throws Infeasible when the
-/// assignment uses more than `max_distinct_products` distinct products
-/// (the state space is 2^distinct).
-[[nodiscard]] LeastEffortResult least_attack_effort(const core::Assignment& assignment,
-                                                    core::HostId entry, core::HostId target,
-                                                    std::size_t max_distinct_products = 24);
+/// assignment uses more than `max_distinct_products` distinct products.
+/// `cancel` is polled every few thousand search steps (site
+/// "bayes.least_effort"); expiry throws DeadlineExceededError /
+/// CancelledError.
+[[nodiscard]] LeastEffortResult least_attack_effort(
+    const core::Assignment& assignment, core::HostId entry, core::HostId target,
+    std::size_t max_distinct_products = kMaxDistinctProducts,
+    const support::CancelToken& cancel = {});
 
 }  // namespace icsdiv::bayes

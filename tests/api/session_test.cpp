@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "api/status.hpp"
+#include "core/baselines.hpp"
 #include "core/serialization.hpp"
 #include "runner/workload.hpp"
 #include "support/cancel.hpp"
@@ -381,6 +383,38 @@ TEST_F(SessionDeadline, BatchDeadlineSurfacesAsDeadlineExceededAndIsNotCached) {
   batch.timeout_ms = 0;
   EXPECT_EQ(std::get<BatchResponse>(session.execute(batch)).failed, 0u);
   EXPECT_EQ(session.status().requests_admitted, 2u);
+}
+
+TEST_F(SessionDeadline, EvaluateDeadlineSurfacesFromTheExactReducer) {
+  // A 2000-host deployment (the request-path benchmark's largest size):
+  // the compute starts after the deadline has passed, and the first
+  // cancellation point on the evaluate path is the exact reducer's.
+  runner::WorkloadParams params;
+  params.hosts = 2000;
+  params.average_degree = 8.0;
+  params.services = 4;
+  params.products_per_service = 4;
+  params.seed = 2020 + 2000 * 10;
+  const runner::WorkloadInstance workload = runner::make_workload(params);
+  EvaluateRequest evaluate;
+  evaluate.catalog = core::catalog_to_json(*workload.catalog);
+  evaluate.network = core::network_to_json(*workload.network);
+  evaluate.assignment = core::greedy_coloring_assignment(*workload.network).to_json();
+  evaluate.entry = workload.network->host_name(2);
+  evaluate.target = workload.network->host_name(1999);
+  evaluate.timeout_ms = 20;
+  support::failpoint::arm("session.compute", {support::failpoint::Action::Delay, 1.0, 60});
+
+  Session session;
+  try {
+    (void)session.execute(evaluate);
+    ADD_FAILURE() << "expected DeadlineExceededError";
+  } catch (const DeadlineExceededError& error) {
+    const ErrorBody body = make_error_body(error);
+    EXPECT_EQ(body.code, StatusCode::DeadlineExceeded);
+    EXPECT_NE(body.message.find("bayes.exact"), std::string::npos) << body.message;
+  }
+  EXPECT_EQ(session.status().requests_deadline, 1u);
 }
 
 TEST_F(SessionDeadline, CoalescedWaiterLeavesAtItsDeadlineWithoutKillingTheCompute) {

@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+
 #include "core/baselines.hpp"
+#include "generated_networks.hpp"
 
 namespace icsdiv::bayes {
 namespace {
@@ -151,11 +154,86 @@ TEST(LeastEffort, MultiServiceHostsOfferChoices) {
   EXPECT_EQ(result.exploited_products, (std::vector<core::ProductId>{p2}));
 }
 
+/// Full results on generated networks, pinned from the map-based search
+/// the flat state store replaced: the same push/pop sequence must yield
+/// the same count, witness products and compromise order.
+struct EffortPin {
+  std::size_t hosts;
+  core::HostId entry;
+  core::HostId target;
+  std::size_t exploit_count;
+  std::vector<core::ProductId> products;
+  std::vector<core::HostId> host_order;
+};
+
+TEST(LeastEffort, GoldenPinsOnGeneratedNetworks) {
+  const EffortPin pins[] = {
+      {500, 2, 499, 2, {0, 7}, {2, 307, 134, 6, 449, 427, 495, 137, 146, 475, 459, 499}},
+      {500, 3, 492, 2, {7, 12}, {3, 423, 492}},
+      {500, 4, 485, 2, {7, 15}, {4, 235, 409, 266, 485}},
+      {1000, 2, 999, 2, {1, 12}, {2, 332, 563, 849, 809, 451, 949, 432, 791, 479, 585, 391, 999}},
+      {1000, 3, 992, 2, {7, 15},
+       {3, 498, 676, 995, 930, 205, 915, 480, 936, 850, 711, 34, 442,
+        904, 121, 105, 961, 950, 646, 841, 521, 91, 296, 487, 572, 992}},
+      {1000, 4, 985, 2, {10, 11}, {4, 285, 155, 27, 448, 594, 52, 232, 930, 994, 286, 90, 985}},
+      {2000, 2, 1999, 1, {13}, {2, 762, 1388, 1149, 230, 1559, 79, 1999}},
+      {2000, 3, 1992, 2, {8, 10},
+       {3, 326, 1800, 1591, 869, 521, 43, 940, 1981, 945,
+        1904, 95, 729, 888, 836, 1581, 1526, 608, 1629, 1992}},
+      {2000, 4, 1985, 2, {4, 7}, {4, 696, 802, 537, 267, 1862, 232, 37, 1985}},
+  };
+  for (const EffortPin& pin : pins) {
+    SCOPED_TRACE(::testing::Message() << pin.hosts << ": " << pin.entry << " -> " << pin.target);
+    const auto result = least_attack_effort(
+        test_networks::generated_network(pin.hosts).assignment, pin.entry, pin.target);
+    ASSERT_TRUE(result.exploit_count.has_value());
+    EXPECT_EQ(*result.exploit_count, pin.exploit_count);
+    EXPECT_EQ(result.exploited_products, pin.products);
+    EXPECT_EQ(result.host_order, pin.host_order);
+  }
+}
+
+TEST(LeastEffort, ExpiredTokenStopsTheSearch) {
+  const auto& network = test_networks::generated_network(2000);
+  const auto expired = support::CancelToken::with_deadline(support::CancelToken::Clock::now() -
+                                                           std::chrono::milliseconds(1));
+  try {
+    (void)least_attack_effort(network.assignment, 2, 1999, kMaxDistinctProducts, expired);
+    ADD_FAILURE() << "expected DeadlineExceededError";
+  } catch (const DeadlineExceededError& error) {
+    EXPECT_NE(std::string(error.what()).find("bayes.least_effort"), std::string::npos)
+        << error.what();
+  }
+  const support::CancelToken cancelled = support::CancelToken::cancellable();
+  cancelled.cancel();
+  EXPECT_THROW((void)least_attack_effort(network.assignment, 2, 1999, kMaxDistinctProducts,
+                                         cancelled),
+               CancelledError);
+}
+
 TEST(LeastEffort, TooManyProductsRaisesInfeasible) {
   PathFixture f;
   const auto mono = f.assign({f.a, f.b, f.c, f.a, f.b});
   EXPECT_THROW((void)least_attack_effort(mono, 0, 4, /*max_distinct_products=*/2),
                Infeasible);
+
+  // More distinct products than a mask has bits: rejected before any
+  // product is turned into a mask bit.
+  core::ProductCatalog catalog;
+  const auto service = catalog.add_service("S");
+  core::Network network(catalog);
+  std::vector<core::ProductId> products;
+  for (int i = 0; i < 40; ++i) {
+    products.push_back(catalog.add_product(service, "p" + std::to_string(i)));
+  }
+  for (int i = 0; i < 40; ++i) {
+    network.add_host("h" + std::to_string(i));
+    network.add_service(static_cast<core::HostId>(i), service, products);
+    if (i > 0) network.add_link(static_cast<core::HostId>(i - 1), static_cast<core::HostId>(i));
+  }
+  core::Assignment distinct(network);
+  for (core::HostId h = 0; h < 40; ++h) distinct.assign(h, service, products[h]);
+  EXPECT_THROW((void)least_attack_effort(distinct, 0, 39), Infeasible);
 }
 
 }  // namespace

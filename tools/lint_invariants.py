@@ -104,6 +104,8 @@ class Config:
         "src/mrf/multilevel.cpp",
         "src/sim/compiled.cpp",
         "src/bayes/compiled.cpp",
+        "src/bayes/reliability.cpp",
+        "src/bayes/least_effort.cpp",
         "src/runner/scenario_engine.cpp",
     )
     # The only files allowed to contain raw vector intrinsics; everything
