@@ -358,6 +358,33 @@ void mttc_scale_args(benchmark::internal::Benchmark* bench) {
 }
 BENCHMARK(BM_Mttc)->Apply(mttc_scale_args);
 
+/// One solve cell of the end-to-end `solve_large` workload: TRW-S over the
+/// decomposed, unpinned problem of a 6000-host network (degree 16, 4
+/// services × 4 products, seed 2020), 10 iterations at tolerance 0, through
+/// Optimizer::optimize_problem — component split, solve, decode and the
+/// similarity walk.  The problem is built in setup; single-threaded.
+void BM_SolveCell(benchmark::State& state) {
+  bench::ScalabilityParams params;
+  params.hosts = static_cast<std::size_t>(state.range(0));
+  params.average_degree = 16.0;
+  params.services = 4;
+  params.products_per_service = 4;
+  params.seed = 2020;
+  const auto instance = bench::make_scalability_instance(params);
+  const core::DiversificationProblem problem(*instance.network);
+  const core::Optimizer optimizer(*instance.network);
+  core::OptimizeOptions options;
+  options.solver = "trws";
+  options.solve.max_iterations = 10;
+  options.solve.tolerance = 0.0;
+  options.parallel = false;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(optimizer.optimize_problem(problem, options));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_SolveCell)->Arg(6000)->Unit(benchmark::kMillisecond);
+
 /// The staged batch engine on a shared-prefix attack grid (1 workload ×
 /// 2 solvers × 2 strategies × 2 detections = 8 cells).  range(0) toggles
 /// artifact reuse: 0 = cold (every cell re-runs its full pipeline, the

@@ -101,7 +101,7 @@ int main(int argc, char** argv) {
   const core::Assignment mono = core::mono_assignment(network);
   std::cout << "\noptimal (policy-constrained) edge similarity: "
             << TextTable::num(optimal.pairwise_similarity, 1)
-            << "   mono-culture: " << TextTable::num(core::total_edge_similarity(mono), 1)
+            << "   mono-culture: " << TextTable::num(core::edge_similarity(mono).total, 1)
             << "   constraints satisfied: " << (optimal.constraints_satisfied ? "yes" : "no")
             << '\n';
 

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
     table5.add_row({name, support::TextTable::num(metric.log10_without(), 3),
                     support::TextTable::num(metric.log10_with(), 3),
                     support::TextTable::num(metric.d_bn, 5),
-                    support::TextTable::num(core::total_edge_similarity(assignment), 2)});
+                    support::TextTable::num(core::edge_similarity(assignment).total, 2)});
   };
   metric_row("optimal", unconstrained.assignment);
   metric_row("host-constrained", host_constrained.assignment);

@@ -73,8 +73,9 @@ int main() {
   support::TextTable table({"assignment", "edge similarity (Eq.3)", "avg / link-service",
                             "identical-neighbor links"});
   const auto row = [&](const char* name, const core::Assignment& assignment) {
-    table.add_row({name, support::TextTable::num(core::total_edge_similarity(assignment), 3),
-                   support::TextTable::num(core::average_edge_similarity(assignment), 3),
+    const core::EdgeSimilarity similarity = core::edge_similarity(assignment);
+    table.add_row({name, support::TextTable::num(similarity.total, 3),
+                   support::TextTable::num(similarity.average(), 3),
                    support::TextTable::num(core::identical_neighbor_ratio(assignment), 3)});
   };
   row("optimal (TRW-S)", outcome.assignment);

@@ -547,8 +547,9 @@ struct Session::Impl {
       const core::Assignment assignment =
           core::Assignment::from_json(artifact->network, request.assignment.json());
       EvaluateResponse response;
-      response.edge_similarity = core::total_edge_similarity(assignment);
-      response.average_similarity = core::average_edge_similarity(assignment);
+      const core::EdgeSimilarity similarity = core::edge_similarity(assignment);
+      response.edge_similarity = similarity.total;
+      response.average_similarity = similarity.average();
       response.normalized_richness = core::normalized_effective_richness(assignment);
       if (!request.entry.empty()) {
         const core::HostId entry = artifact->network.host_id(request.entry);

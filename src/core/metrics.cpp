@@ -24,26 +24,15 @@ void for_each_shared_service(const Assignment& assignment, Body&& body) {
 
 }  // namespace
 
-double total_edge_similarity(const Assignment& assignment) {
+EdgeSimilarity edge_similarity(const Assignment& assignment) {
   const ProductCatalog& catalog = assignment.network().catalog();
-  double total = 0.0;
+  EdgeSimilarity result;
   for_each_shared_service(assignment,
                           [&](HostId, HostId, ServiceId, ProductId a, ProductId b) {
-                            total += catalog.similarity(a, b);
+                            result.total += catalog.similarity(a, b);
+                            ++result.terms;
                           });
-  return total;
-}
-
-double average_edge_similarity(const Assignment& assignment) {
-  const ProductCatalog& catalog = assignment.network().catalog();
-  double total = 0.0;
-  std::size_t terms = 0;
-  for_each_shared_service(assignment,
-                          [&](HostId, HostId, ServiceId, ProductId a, ProductId b) {
-                            total += catalog.similarity(a, b);
-                            ++terms;
-                          });
-  return terms == 0 ? 0.0 : total / static_cast<double>(terms);
+  return result;
 }
 
 double identical_neighbor_ratio(const Assignment& assignment) {

@@ -14,13 +14,21 @@
 
 namespace icsdiv::core {
 
-/// Σ over links and shared services of sim(α'(u,s), α'(v,s)) — exactly the
-/// pairwise term of Eq. 1 the optimiser minimises.
-[[nodiscard]] double total_edge_similarity(const Assignment& assignment);
+/// The Eq. 3 similarity mass of an assignment and the number of (link,
+/// shared-service) terms it sums, from one walk over the links.
+struct EdgeSimilarity {
+  /// Σ over links and shared services of sim(α'(u,s), α'(v,s)) — exactly
+  /// the pairwise term of Eq. 1 the optimiser minimises.
+  double total = 0.0;
+  std::size_t terms = 0;
 
-/// total_edge_similarity divided by the number of (link, shared-service)
-/// pairs; in [0, 1], lower is more diverse.
-[[nodiscard]] double average_edge_similarity(const Assignment& assignment);
+  /// total / terms (0 without terms); in [0, 1], lower is more diverse.
+  [[nodiscard]] double average() const noexcept {
+    return terms == 0 ? 0.0 : total / static_cast<double>(terms);
+  }
+};
+
+[[nodiscard]] EdgeSimilarity edge_similarity(const Assignment& assignment);
 
 /// Fraction of links whose endpoints share ≥1 identical product.
 [[nodiscard]] double identical_neighbor_ratio(const Assignment& assignment);

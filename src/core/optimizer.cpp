@@ -31,9 +31,10 @@ OptimizeOutcome Optimizer::optimize_problem(const DiversificationProblem& proble
     solve_result = base->solve_compiled(problem.compiled(), options.solve);
   }
 
-  OptimizeOutcome outcome{problem.decode(solve_result.labels), std::move(solve_result), 0.0,
-                          false};
-  outcome.pairwise_similarity = total_edge_similarity(outcome.assignment);
+  OptimizeOutcome outcome{problem.decode(solve_result.labels), std::move(solve_result)};
+  const EdgeSimilarity similarity = edge_similarity(outcome.assignment);
+  outcome.pairwise_similarity = similarity.total;
+  outcome.average_similarity = similarity.average();
   outcome.constraints_satisfied = problem.constraints().satisfied_by(outcome.assignment);
   return outcome;
 }

@@ -30,6 +30,8 @@ struct OptimizeOutcome {
   mrf::SolveResult solve;
   /// Σ pairwise similarity over links (Eq. 3 component of the energy).
   double pairwise_similarity = 0.0;
+  /// pairwise_similarity per (link, shared-service) term.
+  double average_similarity = 0.0;
   /// True when the returned assignment satisfies every constraint.
   bool constraints_satisfied = false;
 };

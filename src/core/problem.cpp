@@ -31,6 +31,13 @@ void DiversificationProblem::build_variables() {
   const std::size_t host_count = network_->host_count();
   variable_of_slot_.resize(host_count);
 
+  // Fixed assignments bucketed by host, each bucket in the original order
+  // (validate() has checked the host ids).
+  std::vector<std::vector<const FixedAssignment*>> fixed_of_host(host_count);
+  for (const FixedAssignment& fixed : constraints_.fixed()) {
+    fixed_of_host[fixed.host].push_back(&fixed);
+  }
+
   for (HostId host = 0; host < host_count; ++host) {
     const auto services = network_->services_of(host);
     variable_of_slot_[host].resize(services.size());
@@ -39,15 +46,15 @@ void DiversificationProblem::build_variables() {
 
       // Fixed-host constraints restrict the label set to one product.
       std::vector<ProductId> candidates = instance.candidates;
-      for (const FixedAssignment& fixed : constraints_.fixed()) {
-        if (fixed.host != host || fixed.service != instance.service) continue;
-        if (std::find(candidates.begin(), candidates.end(), fixed.product) ==
+      for (const FixedAssignment* fixed : fixed_of_host[host]) {
+        if (fixed->service != instance.service) continue;
+        if (std::find(candidates.begin(), candidates.end(), fixed->product) ==
             candidates.end()) {
           throw Infeasible("DiversificationProblem: fixed product '" +
-                           network_->catalog().product(fixed.product).name +
+                           network_->catalog().product(fixed->product).name +
                            "' is not a candidate on host '" + network_->host_name(host) + "'");
         }
-        candidates.assign(1, fixed.product);
+        candidates.assign(1, fixed->product);
       }
 
       const mrf::VariableId variable = mrf_.add_variable(candidates.size());

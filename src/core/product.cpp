@@ -4,12 +4,6 @@
 
 namespace icsdiv::core {
 
-std::uint64_t ProductCatalog::key(ProductId a, ProductId b) noexcept {
-  const auto lo = static_cast<std::uint64_t>(std::min(a, b));
-  const auto hi = static_cast<std::uint64_t>(std::max(a, b));
-  return (hi << 32) | lo;
-}
-
 ServiceId ProductCatalog::add_service(std::string name) {
   require(!name.empty(), "ProductCatalog::add_service", "service name must not be empty");
   require(!find_service(name).has_value(), "ProductCatalog::add_service",
@@ -17,6 +11,7 @@ ServiceId ProductCatalog::add_service(std::string name) {
   const auto id = static_cast<ServiceId>(services_.size());
   services_.push_back(Service{std::move(name)});
   by_service_.emplace_back();
+  similarity_.emplace_back();
   return id;
 }
 
@@ -25,9 +20,25 @@ ProductId ProductCatalog::add_product(ServiceId service, std::string name) {
   require(!name.empty(), "ProductCatalog::add_product", "product name must not be empty");
   require(!find_product(service, name).has_value(), "ProductCatalog::add_product",
           "duplicate product name within service: " + name);
+  std::vector<ProductId>& members = by_service_[service];
+  SimilarityTable& table = similarity_[service];
+  if (members.size() == table.stride) {
+    const std::size_t stride = std::max<std::size_t>(4, 2 * table.stride);
+    const std::size_t entries = similarity_entries_ - table.stride * table.stride + stride * stride;
+    require(entries <= kMaxSimilarityEntries, "ProductCatalog::add_product",
+            "catalog exceeds the similarity table bound");
+    std::vector<double> values(stride * stride, 0.0);
+    for (std::size_t row = 0; row < members.size(); ++row) {
+      std::copy_n(table.values.begin() + static_cast<std::ptrdiff_t>(row * table.stride),
+                  members.size(), values.begin() + static_cast<std::ptrdiff_t>(row * stride));
+    }
+    table = SimilarityTable{stride, std::move(values)};
+    similarity_entries_ = entries;
+  }
   const auto id = static_cast<ProductId>(products_.size());
   products_.push_back(Product{std::move(name), service});
-  by_service_[service].push_back(id);
+  position_.push_back(members.size());
+  members.push_back(id);
   return id;
 }
 
@@ -98,7 +109,9 @@ void ProductCatalog::set_similarity(ProductId a, ProductId b, double value) {
           "similarity is defined within one service family");
   require(value >= 0.0 && value <= 1.0, "ProductCatalog::set_similarity",
           "similarity must be in [0,1]");
-  similarity_[key(a, b)] = value;
+  SimilarityTable& table = similarity_[products_[a].service];
+  table.values[position_[a] * table.stride + position_[b]] = value;
+  table.values[position_[b] * table.stride + position_[a]] = value;
 }
 
 double ProductCatalog::similarity(ProductId a, ProductId b) const {
@@ -107,8 +120,8 @@ double ProductCatalog::similarity(ProductId a, ProductId b) const {
   require(products_[a].service == products_[b].service, "ProductCatalog::similarity",
           "similarity is defined within one service family");
   if (a == b) return 1.0;
-  const auto it = similarity_.find(key(a, b));
-  return it == similarity_.end() ? 0.0 : it->second;
+  const SimilarityTable& table = similarity_[products_[a].service];
+  return table.values[position_[a] * table.stride + position_[b]];
 }
 
 }  // namespace icsdiv::core

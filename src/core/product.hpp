@@ -12,7 +12,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "nvd/similarity.hpp"
@@ -57,6 +56,10 @@ class ProductCatalog {
   [[nodiscard]] ServiceId service_id(std::string_view name) const;
   [[nodiscard]] ProductId product_id(ServiceId service, std::string_view name) const;
 
+  /// Bound on the entries of all per-service similarity tables (32 MB):
+  /// add_product throws InvalidArgument rather than grow past it.
+  static constexpr std::size_t kMaxSimilarityEntries = std::size_t{1} << 22;
+
   /// Products providing a given service, in registration order.
   [[nodiscard]] const std::vector<ProductId>& products_of(ServiceId service) const;
 
@@ -73,9 +76,15 @@ class ProductCatalog {
   std::vector<Service> services_;
   std::vector<Product> products_;
   std::vector<std::vector<ProductId>> by_service_;
-  // Sparse symmetric similarity: key = (min_id, max_id) packed into 64 bits.
-  std::unordered_map<std::uint64_t, double> similarity_;
-  [[nodiscard]] static std::uint64_t key(ProductId a, ProductId b) noexcept;
+  /// Dense symmetric similarity of one service, indexed by the products'
+  /// positions in by_service_; `stride` grows geometrically with them.
+  struct SimilarityTable {
+    std::size_t stride = 0;
+    std::vector<double> values;  ///< stride × stride, row-major
+  };
+  std::vector<SimilarityTable> similarity_;  ///< per service
+  std::vector<std::size_t> position_;        ///< product → index in by_service_
+  std::size_t similarity_entries_ = 0;       ///< Σ stride² over services
 };
 
 }  // namespace icsdiv::core

@@ -50,10 +50,11 @@ std::string diversification_report(const Assignment& assignment,
   out << "Diversification report: " << network.host_count() << " hosts, "
       << network.topology().edge_count() << " links, " << network.instance_count()
       << " service instances\n";
-  out << "  total edge similarity (Eq.3): "
-      << support::TextTable::num(total_edge_similarity(assignment), 3) << "\n";
-  out << "  average per link-service:     "
-      << support::TextTable::num(average_edge_similarity(assignment), 3) << "\n";
+  const EdgeSimilarity similarity = edge_similarity(assignment);
+  out << "  total edge similarity (Eq.3): " << support::TextTable::num(similarity.total, 3)
+      << "\n";
+  out << "  average per link-service:     " << support::TextTable::num(similarity.average(), 3)
+      << "\n";
   out << "  links with identical product: "
       << support::TextTable::num(identical_neighbor_ratio(assignment) * 100.0, 1) << "%\n";
   out << "  normalised effective richness: "

@@ -1,6 +1,8 @@
 #include "mrf/decompose.hpp"
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <numeric>
 #include <unordered_map>
 
@@ -36,21 +38,104 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-}  // namespace
+constexpr std::size_t kUnset = static_cast<std::size_t>(-1);
 
-std::vector<std::vector<VariableId>> mrf_components(const Mrf& mrf) {
+/// Component id of every variable, components numbered by their smallest
+/// variable id; returns the component count through `count`.
+std::vector<std::size_t> component_ids(const Mrf& mrf, std::size_t& count) {
   UnionFind uf(mrf.variable_count());
   for (const MrfEdge& edge : mrf.edges()) uf.merge(edge.u, edge.v);
 
-  std::unordered_map<std::size_t, std::size_t> root_to_component;
-  std::vector<std::vector<VariableId>> components;
+  // A root is its component's smallest variable, so it is met first.
+  std::vector<std::size_t> component(mrf.variable_count(), kUnset);
+  count = 0;
   for (VariableId v = 0; v < mrf.variable_count(); ++v) {
     const std::size_t root = uf.find(v);
-    auto [it, inserted] = root_to_component.try_emplace(root, components.size());
-    if (inserted) components.emplace_back();
-    components[it->second].push_back(v);
+    if (component[root] == kUnset) component[root] = count++;
+    component[v] = component[root];
   }
+  return component;
+}
+
+}  // namespace
+
+std::vector<std::vector<VariableId>> mrf_components(const Mrf& mrf) {
+  std::size_t count = 0;
+  const std::vector<std::size_t> component = component_ids(mrf, count);
+  std::vector<std::vector<VariableId>> components(count);
+  for (VariableId v = 0; v < mrf.variable_count(); ++v) components[component[v]].push_back(v);
   return components;
+}
+
+ComponentSplit::ComponentSplit(const Mrf& mrf) : mrf_(mrf) {
+  std::size_t count = 0;
+  const std::vector<std::size_t> component = component_ids(mrf, count);
+
+  // Stable counting sorts by component: variables stay ascending and
+  // edges stay in parent order inside each component.
+  variable_offset_.assign(count + 1, 0);
+  for (VariableId v = 0; v < mrf.variable_count(); ++v) ++variable_offset_[component[v] + 1];
+  for (std::size_t c = 0; c < count; ++c) variable_offset_[c + 1] += variable_offset_[c];
+  variables_.resize(mrf.variable_count());
+  local_.resize(mrf.variable_count());
+  std::vector<std::size_t> cursor(variable_offset_.begin(), variable_offset_.end() - 1);
+  for (VariableId v = 0; v < mrf.variable_count(); ++v) {
+    const std::size_t slot = cursor[component[v]]++;
+    variables_[slot] = v;
+    local_[v] = static_cast<VariableId>(slot - variable_offset_[component[v]]);
+  }
+
+  const auto edges = mrf.edges();
+  require(edges.size() <= std::numeric_limits<std::uint32_t>::max(), "ComponentSplit",
+          "edge count exceeds 32-bit indices");
+  edge_offset_.assign(count + 1, 0);
+  for (const MrfEdge& edge : edges) ++edge_offset_[component[edge.u] + 1];
+  for (std::size_t c = 0; c < count; ++c) edge_offset_[c + 1] += edge_offset_[c];
+  edges_.resize(edges.size());
+  cursor.assign(edge_offset_.begin(), edge_offset_.end() - 1);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    edges_[cursor[component[edges[e].u]]++] = static_cast<std::uint32_t>(e);
+  }
+
+  // Sub-MRF matrix ids in order of first use within each component: one
+  // remap array, stamped with the component that last wrote each entry.
+  edge_matrix_.resize(edges.size());
+  std::vector<MatrixId> remap(mrf.matrix_count(), 0);
+  std::vector<std::size_t> owner(mrf.matrix_count(), kUnset);
+  for (std::size_t c = 0; c < count; ++c) {
+    MatrixId used = 0;
+    for (std::size_t k = edge_offset_[c]; k < edge_offset_[c + 1]; ++k) {
+      const MatrixId parent = edges[edges_[k]].matrix;
+      if (owner[parent] != c) {
+        owner[parent] = c;
+        remap[parent] = used++;
+      }
+      edge_matrix_[k] = remap[parent];
+    }
+  }
+}
+
+SubProblem ComponentSplit::extract(std::size_t component) const {
+  require(component < size(), "ComponentSplit::extract", "component index out of range");
+  SubProblem sub;
+  for (std::size_t k = variable_offset_[component]; k < variable_offset_[component + 1]; ++k) {
+    const VariableId parent = variables_[k];
+    const VariableId local = sub.mrf.add_variable(mrf_.label_count(parent));
+    const auto source = mrf_.unary(parent);
+    std::copy(source.begin(), source.end(), sub.mrf.unary(local).begin());
+    sub.parent_variable.push_back(parent);
+  }
+  const auto edges = mrf_.edges();
+  for (std::size_t k = edge_offset_[component]; k < edge_offset_[component + 1]; ++k) {
+    const MrfEdge& edge = edges[edges_[k]];
+    // Sub ids count up in order of first use, so a new one is the next id.
+    if (edge_matrix_[k] == sub.mrf.matrix_count()) {
+      const CostMatrix& m = mrf_.matrix(edge.matrix);
+      sub.mrf.add_matrix(m.rows, m.cols, m.data);
+    }
+    sub.mrf.add_edge(local_[edge.u], local_[edge.v], edge_matrix_[k]);
+  }
+  return sub;
 }
 
 SubProblem extract_subproblem(const Mrf& mrf, const std::vector<VariableId>& variables) {
@@ -87,7 +172,7 @@ SubProblem extract_subproblem(const Mrf& mrf, const std::vector<VariableId>& var
 
 SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options) const {
   support::Stopwatch watch;
-  const auto components = mrf_components(mrf);
+  const ComponentSplit split(mrf);
 
   SolveResult merged;
   merged.labels.assign(mrf.variable_count(), 0);
@@ -95,9 +180,10 @@ SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options)
   merged.lower_bound = 0;
   merged.converged = true;
 
-  std::vector<SolveResult> results(components.size());
+  std::vector<SolveResult> results(split.size());
   const auto solve_component = [&](std::size_t c) {
-    SubProblem sub = extract_subproblem(mrf, components[c]);
+    // Built on demand, so only the sub-MRFs being solved are alive.
+    const SubProblem sub = split.extract(c);
     SolveOptions sub_options = options;
     if (!options.initial_labels.empty()) {
       sub_options.initial_labels.resize(sub.parent_variable.size());
@@ -112,10 +198,10 @@ SolveResult DecomposedSolver::solve(const Mrf& mrf, const SolveOptions& options)
     }
   };
 
-  if (parallel_ && components.size() > 1) {
-    support::global_thread_pool().parallel_for(components.size(), solve_component);
+  if (parallel_ && split.size() > 1) {
+    support::global_thread_pool().parallel_for(split.size(), solve_component);
   } else {
-    for (std::size_t c = 0; c < components.size(); ++c) solve_component(c);
+    for (std::size_t c = 0; c < split.size(); ++c) solve_component(c);
   }
 
   for (const SolveResult& r : results) {

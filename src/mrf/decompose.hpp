@@ -10,6 +10,7 @@
 // global thread pool.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "mrf/solver.hpp"
@@ -30,6 +31,29 @@ struct SubProblem {
 /// edge adjacency, e.g. a component from mrf_components).
 [[nodiscard]] SubProblem extract_subproblem(const Mrf& mrf,
                                             const std::vector<VariableId>& variables);
+
+/// The connected components of an MRF, indexed in one O(V + E) pass.
+/// extract(c) then builds component c's sub-MRF in O(V_c + E_c), equal
+/// field by field to extract_subproblem(mrf, mrf_components(mrf)[c]):
+/// variables in ascending parent order, edges in parent order, matrices
+/// de-duplicated in order of first use.  The index borrows `mrf`, which
+/// must outlive it; extract() may run concurrently.
+class ComponentSplit {
+ public:
+  explicit ComponentSplit(const Mrf& mrf);
+
+  [[nodiscard]] std::size_t size() const noexcept { return variable_offset_.size() - 1; }
+  [[nodiscard]] SubProblem extract(std::size_t component) const;
+
+ private:
+  const Mrf& mrf_;
+  std::vector<std::size_t> variable_offset_;  ///< per component, into variables_
+  std::vector<VariableId> variables_;         ///< grouped by component, ascending
+  std::vector<VariableId> local_;             ///< parent variable → id in its sub-MRF
+  std::vector<std::size_t> edge_offset_;      ///< per component, into edges_
+  std::vector<std::uint32_t> edges_;          ///< grouped by component, parent order
+  std::vector<MatrixId> edge_matrix_;         ///< sub-MRF matrix id of each edges_ entry
+};
 
 /// Solves each component with `base`, in parallel when `parallel` is set,
 /// and merges labels; energies and bounds add across components.

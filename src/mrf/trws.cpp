@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 
 #include "mrf/kernels.hpp"
 #include "support/logging.hpp"
@@ -27,6 +28,7 @@ class Machine {
     messages_.assign(compiled_.message_size(), Cost{0});
     const std::size_t max_labels = compiled_.max_label_count();
     scratch_d_.resize(max_labels);
+    fresh_.resize(max_labels);
     score_.resize(max_labels);
     fold_.resize(max_labels);
     cost_u_.resize(max_labels);
@@ -61,13 +63,16 @@ class Machine {
     loo_stamp_.assign(n_, 0);
   }
 
-  /// One forward (`ascending=true`) or backward sweep.
-  void sweep(bool ascending) {
+  /// One forward (`ascending=true`) or backward sweep; returns whether any
+  /// message write changed its bit pattern.
+  bool sweep(bool ascending) {
+    changed_ = false;
     if (ascending) {
       for (VariableId i = 0; i < n_; ++i) process(i, /*send_to_later=*/true);
     } else {
       for (VariableId i = n_; i-- > 0;) process(i, /*send_to_later=*/false);
     }
+    return changed_;
   }
 
   /// Dual lower bound from the current message reparameterisation θ'
@@ -373,12 +378,19 @@ class Machine {
       const Cost* reverse = messages_.data() + in.msg_in;  // M_{j→i}
       Cost* out = messages_.data() + in.msg_out;
       const std::size_t out_count = compiled_.label_count(in.other);
+      // Until the sweep has changed a message, the new one goes to
+      // scratch first so the write can be compared bit for bit.
+      Cost* target = changed_ ? out : fresh_.data();
       // Fused γ·θ̂ − M reparameterisation + min-convolution; `send` rows
       // are contiguous over the neighbour's labels in both orientations
       // (transposed cache), so one kernel covers both.
-      const Cost delta = k_.min_convolve2(out, in.send, gamma, d, reverse, count, out_count);
+      const Cost delta = k_.min_convolve2(target, in.send, gamma, d, reverse, count, out_count);
       // Normalise to min 0 to keep message magnitudes bounded.
-      k_.sub_scalar(out, delta, out_count);
+      k_.sub_scalar(target, delta, out_count);
+      if (target != out && std::memcmp(target, out, out_count * sizeof(Cost)) != 0) {
+        std::copy_n(target, out_count, out);
+        changed_ = true;
+      }
     }
   }
 
@@ -391,6 +403,8 @@ class Machine {
   std::vector<double> gamma_;
   std::vector<Cost> messages_;
   std::vector<Cost> scratch_d_;
+  std::vector<Cost> fresh_;  ///< candidate message, compared before writing
+  bool changed_ = false;     ///< the current sweep changed a message's bits
   // Per-call scratch hoisted out of the iteration loops (mutable: the
   // queries are logically const).
   mutable std::vector<Cost> score_;
@@ -459,29 +473,47 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
   Machine machine(compiled);
   Cost previous_bound = -std::numeric_limits<Cost>::infinity();
 
+  // Fixed-point replay (DESIGN.md §5).  The bound and the extraction are
+  // pure functions of the messages, and `version` counts the iterations
+  // that changed a message.  Once a full iteration changes nothing, every
+  // later one would repeat it bit for bit, so the loop skips the sweeps and
+  // keeps the bound; an extraction at an already-extracted version would
+  // reproduce an energy already compared, so it is skipped too.
+  bool at_fixed_point = false;
+  std::size_t version = 0;
+  std::size_t extracted_version = static_cast<std::size_t>(-1);
+  Cost bound = 0;
+  const auto consider_extraction = [&] {
+    if (extracted_version == version) return;
+    extracted_version = version;
+    std::vector<Label> labels = machine.extract();
+    const Cost energy = mrf.energy(labels);
+    if (energy < result.energy) {
+      result.energy = energy;
+      result.labels = std::move(labels);
+    }
+  };
+
   for (std::size_t iteration = 1; iteration <= options.max_iterations; ++iteration) {
     if (options.cancel.expired()) {
       result.truncated = true;
       break;
     }
-    machine.sweep(/*ascending=*/true);
+    bool changed = false;
+    if (!at_fixed_point) changed = machine.sweep(/*ascending=*/true);
     if (options.cancel.expired()) {
       result.truncated = true;
       break;
     }
-    machine.sweep(/*ascending=*/false);
-
-    const Cost bound = machine.lower_bound();
+    if (!at_fixed_point) {
+      changed = machine.sweep(/*ascending=*/false) || changed;
+      bound = machine.lower_bound();
+      if (changed) ++version;
+      at_fixed_point = !changed;
+    }
     result.lower_bound = std::max(result.lower_bound, bound);
 
-    if (options.track_best_primal || iteration == options.max_iterations) {
-      std::vector<Label> labels = machine.extract();
-      const Cost energy = mrf.energy(labels);
-      if (energy < result.energy) {
-        result.energy = energy;
-        result.labels = std::move(labels);
-      }
-    }
+    if (options.track_best_primal || iteration == options.max_iterations) consider_extraction();
     result.iterations = iteration;
 
     support::LogLine(support::LogLevel::Debug)
@@ -510,14 +542,7 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
     result.seconds = watch.seconds();
     return result;
   }
-  if (!options.track_best_primal) {
-    std::vector<Label> labels = machine.extract();
-    const Cost energy = mrf.energy(labels);
-    if (energy < result.energy) {
-      result.energy = energy;
-      result.labels = std::move(labels);
-    }
-  }
+  if (!options.track_best_primal) consider_extraction();
 
   // Polish the best rounding once: coordinate descent, then joint edge
   // moves for frustrated (anti-Potts) cycles, repeated until stable.  All

@@ -392,7 +392,7 @@ void run_solve_stage(SolveStore::Slot& slot, ProblemStore& problems, std::size_t
       slot.summary.converged = outcome.solve.converged;
       slot.summary.constraints_satisfied = outcome.constraints_satisfied;
       slot.summary.total_similarity = outcome.pairwise_similarity;
-      slot.summary.average_similarity = core::average_edge_similarity(outcome.assignment);
+      slot.summary.average_similarity = outcome.average_similarity;
       slot.summary.normalized_richness = core::normalized_effective_richness(outcome.assignment);
       slot.payload =
           std::make_shared<SolveArtifact>(SolveArtifact{problem, nullptr, std::move(outcome)});
@@ -961,6 +961,7 @@ BatchReport ScenarioEngine::run(const std::vector<ScenarioSpec>& specs) const {
                     core::Assignment::from_json(*workload->network, doc),
                     {},
                     slot.summary.total_similarity,
+                    slot.summary.average_similarity,
                     slot.summary.constraints_satisfied};
                 outcome.solve.energy = slot.summary.energy;
                 outcome.solve.lower_bound = slot.summary.lower_bound;

@@ -1,6 +1,8 @@
 // Core domain model: catalog, network, assignment, constraints.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/assignment.hpp"
 #include "core/constraints.hpp"
 #include "core/network.hpp"
@@ -68,6 +70,50 @@ TEST(ProductCatalog, SimilarityRules) {
   EXPECT_THROW(f.catalog.set_similarity(f.win, f.ie, 0.3), InvalidArgument);
   EXPECT_THROW(f.catalog.set_similarity(f.win, f.win, 0.3), InvalidArgument);
   EXPECT_THROW(f.catalog.set_similarity(f.win, f.linux_os, 1.5), InvalidArgument);
+}
+
+TEST(ProductCatalog, SimilarityTableSurvivesGrowth) {
+  // Products of two services interleaved, past several table growths;
+  // every registered pair (and the zero default) must read back exactly.
+  ProductCatalog catalog;
+  const ServiceId services[] = {catalog.add_service("A"), catalog.add_service("B")};
+  std::vector<ProductId> members[2];
+  std::map<std::pair<ProductId, ProductId>, double> expected;
+  for (int i = 0; i < 37; ++i) {
+    for (int s = 0; s < 2; ++s) {
+      const ProductId id = catalog.add_product(services[s], "p" + std::to_string(i));
+      for (std::size_t k = 0; k < members[s].size(); k += 3) {
+        const double value = static_cast<double>((id * 7 + k) % 11) / 10.0;
+        catalog.set_similarity(members[s][k], id, value);
+        expected[{std::min(members[s][k], id), std::max(members[s][k], id)}] = value;
+      }
+      members[s].push_back(id);
+    }
+  }
+  for (const auto& group : members) {
+    for (ProductId a : group) {
+      for (ProductId b : group) {
+        const auto it = expected.find({std::min(a, b), std::max(a, b)});
+        const double value = a == b ? 1.0 : it == expected.end() ? 0.0 : it->second;
+        EXPECT_EQ(catalog.similarity(a, b), value) << a << "," << b;
+      }
+    }
+  }
+  EXPECT_THROW((void)catalog.similarity(members[0][0], members[1][0]), InvalidArgument);
+  EXPECT_THROW((void)catalog.similarity(members[0][0], 9999), InvalidArgument);
+}
+
+TEST(ProductCatalog, SimilarityTableIsBounded) {
+  ProductCatalog catalog;
+  const ServiceId s = catalog.add_service("S");
+  std::size_t added = 0;
+  try {
+    for (;; ++added) (void)catalog.add_product(s, "p" + std::to_string(added));
+  } catch (const InvalidArgument&) {
+  }
+  // The table doubles from 4 to 2048 rows: 2048² entries is the bound.
+  EXPECT_EQ(added, 2048u);
+  EXPECT_EQ(catalog.product_count(), 2048u);
 }
 
 TEST(Network, HostsServicesLinks) {

@@ -83,6 +83,38 @@ TEST(Problem, FixedConstraintRestrictsLabels) {
   EXPECT_EQ(labels[0], inst.os_products[2]);
 }
 
+TEST(Problem, ManyFixesNarrowExactlyTheirSlots) {
+  Instance inst;
+  ConstraintSet constraints;
+  constraints.fix(3, inst.wb, inst.wb_products[1]);
+  constraints.fix(0, inst.os, inst.os_products[2]);
+  constraints.fix(4, inst.os, inst.os_products[0]);
+  constraints.fix(0, inst.wb, inst.wb_products[0]);
+  const DiversificationProblem problem(*inst.network, constraints);
+  for (HostId host = 0; host < inst.network->host_count(); ++host) {
+    const auto services = inst.network->services_of(host);
+    for (std::size_t slot = 0; slot < services.size(); ++slot) {
+      std::vector<ProductId> expected = services[slot].candidates;
+      for (const FixedAssignment& fixed : constraints.fixed()) {
+        if (fixed.host == host && fixed.service == services[slot].service) {
+          expected.assign(1, fixed.product);
+        }
+      }
+      const auto labels = problem.labels_of(problem.variable_of(host, slot));
+      EXPECT_EQ(std::vector<ProductId>(labels.begin(), labels.end()), expected)
+          << "host " << host << " slot " << slot;
+    }
+  }
+}
+
+TEST(Problem, SecondFixOnOneSlotIsRejected) {
+  Instance inst;
+  ConstraintSet constraints;
+  constraints.fix(2, inst.os, inst.os_products[0]);
+  EXPECT_THROW(constraints.fix(2, inst.os, inst.os_products[1]), InvalidArgument);
+  EXPECT_EQ(constraints.fixed().size(), 1u);
+}
+
 TEST(Problem, InfeasibleFixThrows) {
   Instance inst;
   // Restrict h0's OS candidates, then fix to an excluded product.
@@ -115,7 +147,7 @@ TEST(Problem, EnergyEqualsUnaryPlusSimilarity) {
   const DiversificationProblem problem(*inst.network, {}, options);
   Assignment mono = mono_assignment(*inst.network);
   const double expected =
-      0.01 * static_cast<double>(problem.variable_count()) + total_edge_similarity(mono);
+      0.01 * static_cast<double>(problem.variable_count()) + edge_similarity(mono).total;
   EXPECT_NEAR(problem.energy_of(mono), expected, 1e-9);
 }
 
@@ -173,6 +205,9 @@ TEST(Optimizer, MatchesExhaustiveOnSmallInstance) {
       << "TRW-S must reach the brute-force optimum on this instance";
   EXPECT_TRUE(outcome.constraints_satisfied);
   EXPECT_TRUE(outcome.assignment.complete());
+  const EdgeSimilarity similarity = edge_similarity(outcome.assignment);
+  EXPECT_EQ(outcome.pairwise_similarity, similarity.total);
+  EXPECT_EQ(outcome.average_similarity, similarity.average());
 }
 
 TEST(Optimizer, ConstrainedOptimumRespectsConstraintsAndCostsMore) {
@@ -240,9 +275,9 @@ TEST(Baselines, GreedyBeatsMonoAndOptimalBeatsGreedy) {
   const Optimizer optimizer(*inst.network);
   const OptimizeOutcome optimal = optimizer.optimize();
 
-  const double mono_cost = total_edge_similarity(mono);
-  const double greedy_cost = total_edge_similarity(greedy);
-  const double optimal_cost = total_edge_similarity(optimal.assignment);
+  const double mono_cost = edge_similarity(mono).total;
+  const double greedy_cost = edge_similarity(greedy).total;
+  const double optimal_cost = edge_similarity(optimal.assignment).total;
   EXPECT_LT(greedy_cost, mono_cost);
   EXPECT_LE(optimal_cost, greedy_cost + 1e-9);
 }
@@ -288,8 +323,11 @@ TEST(Metrics, EdgeSimilarityHandComputed) {
   }
   // OS: identical on all 6 links → 6.0.  WB links: 0-1 (a,b)=0.5,
   // 1-2 (b,a)=0.5, 2-3 (a,b)=0.5, 0-2 (a,a)=1.0 → 2.5.
-  EXPECT_NEAR(total_edge_similarity(assignment), 8.5, 1e-12);
-  EXPECT_NEAR(average_edge_similarity(assignment), 8.5 / 10.0, 1e-12);
+  const EdgeSimilarity similarity = edge_similarity(assignment);
+  EXPECT_NEAR(similarity.total, 8.5, 1e-12);
+  EXPECT_EQ(similarity.terms, 10u);
+  EXPECT_NEAR(similarity.average(), 8.5 / 10.0, 1e-12);
+  EXPECT_EQ(EdgeSimilarity{}.average(), 0.0);
 }
 
 TEST(Metrics, NormalizedEffectiveRichnessBounds) {

@@ -187,7 +187,7 @@ TEST(UpgradePlanner, ApproachesTrwsOptimum) {
   const auto optimal = Optimizer(*f.network).optimize();
   // Greedy single-host moves land within a modest factor of the optimum.
   const double optimal_pairwise = optimal.pairwise_similarity;
-  const double planned_pairwise = total_edge_similarity(plan.result);
+  const double planned_pairwise = edge_similarity(plan.result).total;
   EXPECT_LE(planned_pairwise, std::max(optimal_pairwise * 2.0, optimal_pairwise + 1.0));
 }
 

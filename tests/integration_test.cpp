@@ -79,7 +79,7 @@ TEST_P(PipelineSweep, MetricsAgreeOnOrdering) {
   // d_bn, the similarity mass, and effective richness must all rank the
   // optimal assignment above the mono-culture.
   EXPECT_GT(metric_optimal.d_bn, metric_mono.d_bn);
-  EXPECT_LT(core::total_edge_similarity(optimal), core::total_edge_similarity(mono));
+  EXPECT_LT(core::edge_similarity(optimal).total, core::edge_similarity(mono).total);
   EXPECT_GT(core::normalized_effective_richness(optimal),
             core::normalized_effective_richness(mono));
   // And the adversary needs at least as many distinct exploits.

@@ -2,11 +2,14 @@
 // decomposition and multilevel wrappers.
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "mrf/bp.hpp"
 #include "mrf/decompose.hpp"
 #include "mrf/exhaustive.hpp"
 #include "mrf/icm.hpp"
 #include "mrf/multilevel.hpp"
+#include "mrf/registry.hpp"
 #include "mrf/trws.hpp"
 #include "support/rng.hpp"
 
@@ -205,6 +208,139 @@ TEST(Decompose, SubproblemExtractionValidatesClosure) {
   const MatrixId m = mrf.add_matrix(2, 2, {0, 1, 1, 0});
   mrf.add_edge(0, 1, m);
   EXPECT_THROW(extract_subproblem(mrf, {0}), icsdiv::InvalidArgument);
+}
+
+/// Random MRF with several components and every shape the one-pass split
+/// must carry over: isolated and one-label variables, parallel edges (both
+/// orientations), a matrix shared per label-count pair and per-edge
+/// matrices.  Variables are dealt round-robin into at most six groups and
+/// edges stay inside a group, so components are small enough for the
+/// exhaustive solver.
+Mrf random_multicomponent_mrf(support::Rng& rng) {
+  Mrf mrf;
+  const std::size_t n = 6 + rng.index(13);
+  const std::size_t groups = 3 + rng.index(4);
+  for (std::size_t i = 0; i < n; ++i) {
+    const VariableId v = mrf.add_variable(1 + rng.index(3));
+    for (auto& cost : mrf.unary(v)) cost = rng.uniform();
+  }
+  const auto random_matrix = [&](std::size_t rows, std::size_t cols) {
+    std::vector<Cost> data(rows * cols);
+    for (auto& cost : data) cost = rng.uniform();
+    return mrf.add_matrix(rows, cols, std::move(data));
+  };
+  std::map<std::pair<std::size_t, std::size_t>, MatrixId> shared;
+  const auto add_edge = [&](VariableId u, VariableId v) {
+    const std::size_t rows = mrf.label_count(u);
+    const std::size_t cols = mrf.label_count(v);
+    MatrixId matrix = 0;
+    if (rng.bernoulli(0.5)) {
+      const auto it = shared.find({rows, cols});
+      matrix = it != shared.end() ? it->second : random_matrix(rows, cols);
+      shared.emplace(std::make_pair(rows, cols), matrix);
+    } else {
+      matrix = random_matrix(rows, cols);
+    }
+    mrf.add_edge(u, v, matrix);
+  };
+  const VariableId isolated = static_cast<VariableId>(rng.index(n));
+  for (std::size_t k = 0; k < 2 * n; ++k) {
+    const auto u = static_cast<VariableId>(rng.index(n));
+    const auto v = static_cast<VariableId>(rng.index(n));
+    if (u == v || u % groups != v % groups || u == isolated || v == isolated) continue;
+    add_edge(u, v);
+    if (rng.bernoulli(0.2)) add_edge(u, v);
+    if (rng.bernoulli(0.2)) add_edge(v, u);
+  }
+  return mrf;
+}
+
+void expect_same_mrf(const Mrf& actual, const Mrf& expected) {
+  ASSERT_EQ(actual.variable_count(), expected.variable_count());
+  for (VariableId v = 0; v < expected.variable_count(); ++v) {
+    const auto a = actual.unary(v);
+    const auto e = expected.unary(v);
+    EXPECT_EQ(std::vector<Cost>(a.begin(), a.end()), std::vector<Cost>(e.begin(), e.end()));
+  }
+  ASSERT_EQ(actual.matrix_count(), expected.matrix_count());
+  for (MatrixId m = 0; m < expected.matrix_count(); ++m) {
+    EXPECT_EQ(actual.matrix(m).rows, expected.matrix(m).rows);
+    EXPECT_EQ(actual.matrix(m).cols, expected.matrix(m).cols);
+    EXPECT_EQ(actual.matrix(m).data, expected.matrix(m).data);
+  }
+  ASSERT_EQ(actual.edge_count(), expected.edge_count());
+  for (std::size_t e = 0; e < expected.edge_count(); ++e) {
+    EXPECT_EQ(actual.edges()[e].u, expected.edges()[e].u);
+    EXPECT_EQ(actual.edges()[e].v, expected.edges()[e].v);
+    EXPECT_EQ(actual.edges()[e].matrix, expected.edges()[e].matrix);
+  }
+}
+
+TEST(Decompose, OnePassSplitEqualsPerComponentExtraction) {
+  support::Rng rng(2024);
+  for (int trial = 0; trial < 50; ++trial) {
+    const Mrf mrf = random_multicomponent_mrf(rng);
+    const auto components = mrf_components(mrf);
+    const ComponentSplit split(mrf);
+    ASSERT_EQ(split.size(), components.size()) << "trial " << trial;
+    for (std::size_t c = 0; c < components.size(); ++c) {
+      const SubProblem actual = split.extract(c);
+      const SubProblem expected = extract_subproblem(mrf, components[c]);
+      EXPECT_EQ(actual.parent_variable, expected.parent_variable);
+      expect_same_mrf(actual.mrf, expected.mrf);
+    }
+    EXPECT_THROW((void)split.extract(components.size()), icsdiv::InvalidArgument);
+  }
+  EXPECT_EQ(ComponentSplit(Mrf{}).size(), 0u);
+}
+
+/// The decomposed solve as it was built before the one-pass split: one
+/// extract_subproblem per component, solved and merged in order.
+SolveResult per_component_reference(const Solver& base, const Mrf& mrf,
+                                    const SolveOptions& options) {
+  SolveResult merged;
+  merged.labels.assign(mrf.variable_count(), 0);
+  merged.energy = 0;
+  merged.lower_bound = 0;
+  merged.converged = true;
+  for (const auto& component : mrf_components(mrf)) {
+    const SubProblem sub = extract_subproblem(mrf, component);
+    const SolveResult r = base.solve(sub.mrf, options);
+    for (std::size_t i = 0; i < sub.parent_variable.size(); ++i) {
+      merged.labels[sub.parent_variable[i]] = r.labels[i];
+    }
+    merged.energy += r.energy;
+    merged.lower_bound += r.lower_bound;
+    merged.iterations = std::max(merged.iterations, r.iterations);
+    merged.converged = merged.converged && r.converged;
+    merged.truncated = merged.truncated || r.truncated;
+  }
+  return merged;
+}
+
+TEST(Decompose, EveryRegisteredSolverMatchesPerComponentReference) {
+  support::Rng rng(4048);
+  SolveOptions options;
+  options.max_iterations = 20;
+  const SolverRegistry& registry = SolverRegistry::instance();
+  for (int trial = 0; trial < 8; ++trial) {
+    const Mrf mrf = random_multicomponent_mrf(rng);
+    for (const std::string& name : registry.names()) {
+      const std::unique_ptr<Solver> base = registry.create(name);
+      const SolveResult expected = per_component_reference(*base, mrf, options);
+      for (const bool parallel : {false, true}) {
+        const SolveResult actual = DecomposedSolver(*base, parallel).solve(mrf, options);
+        const std::string where = name + (parallel ? " parallel" : " serial") + " trial " +
+                                  std::to_string(trial);
+        EXPECT_EQ(actual.labels, expected.labels) << where;
+        EXPECT_EQ(actual.energy, expected.energy) << where;
+        EXPECT_EQ(actual.lower_bound, expected.lower_bound) << where;
+        EXPECT_EQ(actual.iterations, expected.iterations) << where;
+        EXPECT_EQ(actual.converged, expected.converged) << where;
+        EXPECT_EQ(actual.truncated, expected.truncated) << where;
+      }
+    }
+  }
 }
 
 TEST(Multilevel, SolvesAndMatchesEnergyEvaluation) {

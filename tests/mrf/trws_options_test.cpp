@@ -1,12 +1,16 @@
-// Solver option paths: time limits, primal tracking, warm starts, and the
-// spanning-forest bound's guarantees across random instances.
+// Solver option paths: time limits, primal tracking, warm starts, the
+// spanning-forest bound's guarantees across random instances, and the
+// message fixed-point replay.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
+#include "core/problem.hpp"
 #include "mrf/exhaustive.hpp"
 #include "mrf/icm.hpp"
 #include "mrf/trws.hpp"
+#include "runner/scenario.hpp"
+#include "runner/workload.hpp"
 #include "support/rng.hpp"
 
 namespace icsdiv::mrf {
@@ -115,6 +119,137 @@ TEST_P(BoundSweep, TreeInstancesSolveToProvenOptimality) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BoundSweep, ::testing::Values(11u, 22u, 33u, 44u, 55u));
+
+// ---------------------------------------------------------------------------
+// Message fixed-point replay (DESIGN.md §5).  Once a full TRW-S iteration
+// leaves every message bit-identical, later iterations reuse its bound and
+// extraction instead of sweeping.  The pins below were captured before the
+// replay existed, on a §VIII workload (300 hosts, degree 8, 2 services × 4
+// products, seed 2020): unpinned, every component reaches the fixed point
+// within two iterations; pinned (every 4th host's first service fixed),
+// the pinned component does not.
+
+std::uint64_t label_digest(const std::vector<Label>& labels) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (Label l : labels) {
+    h ^= l;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct FixedPointPin {
+  const char* recipe;
+  Cost tolerance;
+  bool track_best_primal;
+  std::size_t max_iterations;
+  Cost energy;
+  Cost lower_bound;
+  std::size_t iterations;
+  bool converged;
+  std::uint64_t digest;
+};
+
+constexpr FixedPointPin kFixedPointPins[] = {
+    {"none", 0, true, 1, 223.56216252776079, 6, 1, false, 10782888773314734865ull},
+    {"none", 0, true, 2, 223.56216252776079, 6, 2, false, 10782888773314734865ull},
+    {"none", 0, true, 10, 223.56216252776079, 6, 10, false, 10782888773314734865ull},
+    {"none", 0, false, 1, 223.56216252776079, 6, 1, false, 10782888773314734865ull},
+    {"none", 0, false, 2, 223.56216252776079, 6, 2, false, 10782888773314734865ull},
+    {"none", 0, false, 10, 223.56216252776079, 6, 10, false, 10782888773314734865ull},
+    {"none", 1e-9, true, 1, 223.56216252776079, 6, 1, false, 10782888773314734865ull},
+    {"none", 1e-9, true, 2, 223.56216252776079, 6, 2, true, 10782888773314734865ull},
+    {"none", 1e-9, true, 10, 223.56216252776079, 6, 2, true, 10782888773314734865ull},
+    {"none", 1e-9, false, 1, 223.56216252776079, 6, 1, false, 10782888773314734865ull},
+    {"none", 1e-9, false, 2, 223.56216252776079, 6, 2, true, 10782888773314734865ull},
+    {"none", 1e-9, false, 10, 223.56216252776079, 6, 2, true, 10782888773314734865ull},
+    {"pinned", 0, true, 1, 284.12515853390244, 88.107889449876566, 1, false,
+     11050508549074847100ull},
+    {"pinned", 0, true, 2, 284.04485065699629, 115.92821174266302, 2, false,
+     10113223345922807417ull},
+    {"pinned", 0, true, 10, 278.51949605157949, 129.99471041146973, 10, false,
+     9271506288081060688ull},
+    {"pinned", 0, false, 1, 284.12515853390244, 88.107889449876566, 1, false,
+     11050508549074847100ull},
+    {"pinned", 0, false, 2, 284.04485065699629, 115.92821174266302, 2, false,
+     10113223345922807417ull},
+    {"pinned", 0, false, 10, 278.51949605157949, 129.99471041146973, 10, false,
+     9271506288081060688ull},
+    {"pinned", 1e-9, true, 1, 284.12515853390244, 88.107889449876566, 1, false,
+     11050508549074847100ull},
+    {"pinned", 1e-9, true, 2, 284.04485065699629, 115.92821174266302, 2, false,
+     10113223345922807417ull},
+    {"pinned", 1e-9, true, 10, 278.51949605157949, 129.99471041146973, 10, false,
+     9271506288081060688ull},
+    {"pinned", 1e-9, false, 1, 284.12515853390244, 88.107889449876566, 1, false,
+     11050508549074847100ull},
+    {"pinned", 1e-9, false, 2, 284.04485065699629, 115.92821174266302, 2, false,
+     10113223345922807417ull},
+    {"pinned", 1e-9, false, 10, 278.51949605157949, 129.99471041146973, 10, false,
+     9271506288081060688ull},
+};
+
+const runner::WorkloadInstance& fixed_point_workload() {
+  static const runner::WorkloadInstance instance = [] {
+    runner::WorkloadParams params;
+    params.hosts = 300;
+    params.average_degree = 8.0;
+    params.services = 2;
+    params.products_per_service = 4;
+    params.seed = 2020;
+    return runner::make_workload(params);
+  }();
+  return instance;
+}
+
+core::DiversificationProblem fixed_point_problem(const std::string& recipe) {
+  const core::Network& network = *fixed_point_workload().network;
+  return core::DiversificationProblem(network, runner::apply_constraint_recipe(recipe, network));
+}
+
+class FixedPointReplay : public ::testing::TestWithParam<FixedPointPin> {};
+
+TEST_P(FixedPointReplay, MatchesPreReplayPins) {
+  const FixedPointPin& pin = GetParam();
+  const core::DiversificationProblem problem = fixed_point_problem(pin.recipe);
+  TrwsOptions options;
+  options.tolerance = pin.tolerance;
+  options.track_best_primal = pin.track_best_primal;
+  options.max_iterations = pin.max_iterations;
+  const SolveResult result = TrwsSolver().solve_trws(problem.mrf(), options);
+  EXPECT_DOUBLE_EQ(result.energy, pin.energy);
+  EXPECT_DOUBLE_EQ(result.lower_bound, pin.lower_bound);
+  EXPECT_EQ(result.iterations, pin.iterations);
+  EXPECT_EQ(result.converged, pin.converged);
+  EXPECT_EQ(label_digest(result.labels), pin.digest);
+  EXPECT_FALSE(result.truncated);
+}
+
+INSTANTIATE_TEST_SUITE_P(Pins, FixedPointReplay, ::testing::ValuesIn(kFixedPointPins),
+                         [](const auto& param_info) {
+                           const FixedPointPin& pin = param_info.param;
+                           return std::string(pin.recipe) + "_tol" +
+                                  (pin.tolerance == 0 ? "0" : "1e9") +
+                                  (pin.track_best_primal ? "_track" : "_final") + "_it" +
+                                  std::to_string(pin.max_iterations);
+                         });
+
+TEST(FixedPointReplay, LongToleranceZeroRunAgreesWithShortOne) {
+  const core::DiversificationProblem problem = fixed_point_problem("none");
+  SolveOptions options;
+  options.tolerance = 0.0;  // never converges: every iteration runs
+  options.max_iterations = 10;
+  const SolveResult short_run = TrwsSolver().solve(problem.mrf(), options);
+  options.max_iterations = 5000;
+  const SolveResult long_run = TrwsSolver().solve(problem.mrf(), options);
+  EXPECT_EQ(short_run.iterations, 10u);
+  EXPECT_EQ(long_run.iterations, 5000u);
+  EXPECT_EQ(long_run.labels, short_run.labels);
+  EXPECT_EQ(long_run.energy, short_run.energy);
+  EXPECT_EQ(long_run.lower_bound, short_run.lower_bound);
+  EXPECT_EQ(long_run.converged, short_run.converged);
+  EXPECT_EQ(long_run.truncated, short_run.truncated);
+}
 
 TEST(IcmOptions, WarmStartPreserved) {
   const Mrf mrf = random_instance(9, 10, 3, 0.0);  // no edges: unary argmin
