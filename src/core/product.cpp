@@ -21,20 +21,8 @@ ProductId ProductCatalog::add_product(ServiceId service, std::string name) {
   require(!find_product(service, name).has_value(), "ProductCatalog::add_product",
           "duplicate product name within service: " + name);
   std::vector<ProductId>& members = by_service_[service];
-  SimilarityTable& table = similarity_[service];
-  if (members.size() == table.stride) {
-    const std::size_t stride = std::max<std::size_t>(4, 2 * table.stride);
-    const std::size_t entries = similarity_entries_ - table.stride * table.stride + stride * stride;
-    require(entries <= kMaxSimilarityEntries, "ProductCatalog::add_product",
-            "catalog exceeds the similarity table bound");
-    std::vector<double> values(stride * stride, 0.0);
-    for (std::size_t row = 0; row < members.size(); ++row) {
-      std::copy_n(table.values.begin() + static_cast<std::ptrdiff_t>(row * table.stride),
-                  members.size(), values.begin() + static_cast<std::ptrdiff_t>(row * stride));
-    }
-    table = SimilarityTable{stride, std::move(values)};
-    similarity_entries_ = entries;
-  }
+  std::vector<double>& table = similarity_[service];
+  if (!table.empty()) table.resize(table.size() + members.size(), 0.0);
   const auto id = static_cast<ProductId>(products_.size());
   products_.push_back(Product{std::move(name), service});
   position_.push_back(members.size());
@@ -109,9 +97,12 @@ void ProductCatalog::set_similarity(ProductId a, ProductId b, double value) {
           "similarity is defined within one service family");
   require(value >= 0.0 && value <= 1.0, "ProductCatalog::set_similarity",
           "similarity must be in [0,1]");
-  SimilarityTable& table = similarity_[products_[a].service];
-  table.values[position_[a] * table.stride + position_[b]] = value;
-  table.values[position_[b] * table.stride + position_[a]] = value;
+  std::vector<double>& table = similarity_[products_[a].service];
+  if (table.empty()) {
+    const std::size_t n = by_service_[products_[a].service].size();
+    table.assign(n * (n - 1) / 2, 0.0);
+  }
+  table[slot(a, b)] = value;
 }
 
 double ProductCatalog::similarity(ProductId a, ProductId b) const {
@@ -120,8 +111,14 @@ double ProductCatalog::similarity(ProductId a, ProductId b) const {
   require(products_[a].service == products_[b].service, "ProductCatalog::similarity",
           "similarity is defined within one service family");
   if (a == b) return 1.0;
-  const SimilarityTable& table = similarity_[products_[a].service];
-  return table.values[position_[a] * table.stride + position_[b]];
+  const std::vector<double>& table = similarity_[products_[a].service];
+  return table.empty() ? 0.0 : table[slot(a, b)];
+}
+
+std::size_t ProductCatalog::slot(ProductId a, ProductId b) const noexcept {
+  const std::size_t i = std::max(position_[a], position_[b]);
+  const std::size_t j = std::min(position_[a], position_[b]);
+  return i * (i - 1) / 2 + j;
 }
 
 }  // namespace icsdiv::core

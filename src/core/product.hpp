@@ -56,10 +56,6 @@ class ProductCatalog {
   [[nodiscard]] ServiceId service_id(std::string_view name) const;
   [[nodiscard]] ProductId product_id(ServiceId service, std::string_view name) const;
 
-  /// Bound on the entries of all per-service similarity tables (32 MB):
-  /// add_product throws InvalidArgument rather than grow past it.
-  static constexpr std::size_t kMaxSimilarityEntries = std::size_t{1} << 22;
-
   /// Products providing a given service, in registration order.
   [[nodiscard]] const std::vector<ProductId>& products_of(ServiceId service) const;
 
@@ -76,15 +72,13 @@ class ProductCatalog {
   std::vector<Service> services_;
   std::vector<Product> products_;
   std::vector<std::vector<ProductId>> by_service_;
-  /// Dense symmetric similarity of one service, indexed by the products'
-  /// positions in by_service_; `stride` grows geometrically with them.
-  struct SimilarityTable {
-    std::size_t stride = 0;
-    std::vector<double> values;  ///< stride × stride, row-major
-  };
-  std::vector<SimilarityTable> similarity_;  ///< per service
-  std::vector<std::size_t> position_;        ///< product → index in by_service_
-  std::size_t similarity_entries_ = 0;       ///< Σ stride² over services
+  /// Dense similarity of each service: the strict lower triangle over the
+  /// products' positions in by_service_, entry (i, j), i > j, at
+  /// i(i − 1)/2 + j.  Empty (all zero) until the service's first
+  /// set_similarity; from then on every added product appends its row.
+  std::vector<std::vector<double>> similarity_;  ///< per service
+  std::vector<std::size_t> position_;            ///< product → index in by_service_
+  [[nodiscard]] std::size_t slot(ProductId a, ProductId b) const noexcept;
 };
 
 }  // namespace icsdiv::core

@@ -1,6 +1,7 @@
 #include "mrf/decompose.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <numeric>
@@ -71,8 +72,8 @@ ComponentSplit::ComponentSplit(const Mrf& mrf) : mrf_(mrf) {
   std::size_t count = 0;
   const std::vector<std::size_t> component = component_ids(mrf, count);
 
-  // Stable counting sorts by component: variables stay ascending and
-  // edges stay in parent order inside each component.
+  // Stable counting sort by component: variables stay ascending inside
+  // each component.
   variable_offset_.assign(count + 1, 0);
   for (VariableId v = 0; v < mrf.variable_count(); ++v) ++variable_offset_[component[v] + 1];
   for (std::size_t c = 0; c < count; ++c) variable_offset_[c + 1] += variable_offset_[c];
@@ -84,56 +85,69 @@ ComponentSplit::ComponentSplit(const Mrf& mrf) : mrf_(mrf) {
     variables_[slot] = v;
     local_[v] = static_cast<VariableId>(slot - variable_offset_[component[v]]);
   }
-
-  const auto edges = mrf.edges();
-  require(edges.size() <= std::numeric_limits<std::uint32_t>::max(), "ComponentSplit",
-          "edge count exceeds 32-bit indices");
-  edge_offset_.assign(count + 1, 0);
-  for (const MrfEdge& edge : edges) ++edge_offset_[component[edge.u] + 1];
-  for (std::size_t c = 0; c < count; ++c) edge_offset_[c + 1] += edge_offset_[c];
-  edges_.resize(edges.size());
-  cursor.assign(edge_offset_.begin(), edge_offset_.end() - 1);
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    edges_[cursor[component[edges[e].u]]++] = static_cast<std::uint32_t>(e);
-  }
-
-  // Sub-MRF matrix ids in order of first use within each component: one
-  // remap array, stamped with the component that last wrote each entry.
-  edge_matrix_.resize(edges.size());
-  std::vector<MatrixId> remap(mrf.matrix_count(), 0);
-  std::vector<std::size_t> owner(mrf.matrix_count(), kUnset);
-  for (std::size_t c = 0; c < count; ++c) {
-    MatrixId used = 0;
-    for (std::size_t k = edge_offset_[c]; k < edge_offset_[c + 1]; ++k) {
-      const MatrixId parent = edges[edges_[k]].matrix;
-      if (owner[parent] != c) {
-        owner[parent] = c;
-        remap[parent] = used++;
-      }
-      edge_matrix_[k] = remap[parent];
-    }
-  }
 }
 
 SubProblem ComponentSplit::extract(std::size_t component) const {
   require(component < size(), "ComponentSplit::extract", "component index out of range");
+  const std::size_t begin = variable_offset_[component];
+  const std::size_t end = variable_offset_[component + 1];
+  const auto& incident = mrf_.incident_edges();
   SubProblem sub;
-  for (std::size_t k = variable_offset_[component]; k < variable_offset_[component + 1]; ++k) {
+  // Incident lists are ascending, so their ends bound the component's
+  // edge ids.
+  std::size_t first = std::numeric_limits<std::size_t>::max();
+  std::size_t last = 0;
+  std::size_t incidences = 0;
+  for (std::size_t k = begin; k < end; ++k) {
     const VariableId parent = variables_[k];
     const VariableId local = sub.mrf.add_variable(mrf_.label_count(parent));
     const auto source = mrf_.unary(parent);
     std::copy(source.begin(), source.end(), sub.mrf.unary(local).begin());
     sub.parent_variable.push_back(parent);
-  }
-  const auto edges = mrf_.edges();
-  for (std::size_t k = edge_offset_[component]; k < edge_offset_[component + 1]; ++k) {
-    const MrfEdge& edge = edges[edges_[k]];
-    // Sub ids count up in order of first use, so a new one is the next id.
-    if (edge_matrix_[k] == sub.mrf.matrix_count()) {
-      const CostMatrix& m = mrf_.matrix(edge.matrix);
-      sub.mrf.add_matrix(m.rows, m.cols, m.data);
+    if (!incident[parent].empty()) {
+      first = std::min(first, incident[parent].front());
+      last = std::max(last, incident[parent].back());
+      incidences += incident[parent].size();
     }
-    sub.mrf.add_edge(local_[edge.u], local_[edge.v], edge_matrix_[k]);
+  }
+
+  // Copy only the matrices the component uses, in order of first use.
+  const auto edges = mrf_.edges();
+  std::unordered_map<MatrixId, MatrixId> matrix_map;
+  const auto add_edge = [&](std::size_t e) {
+    const MrfEdge& edge = edges[e];
+    auto [it, inserted] = matrix_map.try_emplace(edge.matrix, 0);
+    if (inserted) {
+      const CostMatrix& m = mrf_.matrix(edge.matrix);
+      it->second = sub.mrf.add_matrix(m.rows, m.cols, m.data);
+    }
+    sub.mrf.add_edge(local_[edge.u], local_[edge.v], it->second);
+  };
+
+  // Edges go in parent order: read off a bitmap over [first, last] when
+  // it has fewer words than the component has edge ends, else sorted,
+  // each edge taken at its `u` end.
+  if (incidences > 0 && (last - first) / 64 < incidences) {
+    std::vector<std::uint64_t> marked((last - first) / 64 + 1, 0);
+    for (std::size_t k = begin; k < end; ++k) {
+      for (const std::size_t e : incident[variables_[k]]) {
+        marked[(e - first) / 64] |= std::uint64_t{1} << ((e - first) % 64);
+      }
+    }
+    for (std::size_t word = 0; word < marked.size(); ++word) {
+      for (std::uint64_t bits = marked[word]; bits != 0; bits &= bits - 1) {
+        add_edge(first + 64 * word + static_cast<std::size_t>(std::countr_zero(bits)));
+      }
+    }
+  } else {
+    std::vector<std::size_t> edge_ids;
+    for (std::size_t k = begin; k < end; ++k) {
+      for (const std::size_t e : incident[variables_[k]]) {
+        if (edges[e].u == variables_[k]) edge_ids.push_back(e);
+      }
+    }
+    std::sort(edge_ids.begin(), edge_ids.end());
+    for (const std::size_t e : edge_ids) add_edge(e);
   }
   return sub;
 }

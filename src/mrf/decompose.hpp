@@ -10,7 +10,6 @@
 // global thread pool.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "mrf/solver.hpp"
@@ -33,11 +32,14 @@ struct SubProblem {
                                             const std::vector<VariableId>& variables);
 
 /// The connected components of an MRF, indexed in one O(V + E) pass.
-/// extract(c) then builds component c's sub-MRF in O(V_c + E_c), equal
-/// field by field to extract_subproblem(mrf, mrf_components(mrf)[c]):
-/// variables in ascending parent order, edges in parent order, matrices
-/// de-duplicated in order of first use.  The index borrows `mrf`, which
-/// must outlive it; extract() may run concurrently.
+/// extract(c) then builds component c's sub-MRF from the model's incident
+/// lists, equal field by field to extract_subproblem(mrf,
+/// mrf_components(mrf)[c]): variables in ascending parent order, edges in
+/// parent order, matrices de-duplicated in order of first use.  It costs
+/// O(V_c + E_c) when the component's edge ids span fewer than 64 per edge
+/// end, else O(V_c + E_c log E_c).  The index holds 8 bytes per variable
+/// and nothing per edge.  It borrows `mrf`, which must outlive it;
+/// extract() may run concurrently.
 class ComponentSplit {
  public:
   explicit ComponentSplit(const Mrf& mrf);
@@ -50,9 +52,6 @@ class ComponentSplit {
   std::vector<std::size_t> variable_offset_;  ///< per component, into variables_
   std::vector<VariableId> variables_;         ///< grouped by component, ascending
   std::vector<VariableId> local_;             ///< parent variable → id in its sub-MRF
-  std::vector<std::size_t> edge_offset_;      ///< per component, into edges_
-  std::vector<std::uint32_t> edges_;          ///< grouped by component, parent order
-  std::vector<MatrixId> edge_matrix_;         ///< sub-MRF matrix id of each edges_ entry
 };
 
 /// Solves each component with `base`, in parallel when `parallel` is set,

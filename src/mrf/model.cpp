@@ -9,6 +9,7 @@ VariableId Mrf::add_variable(std::size_t label_count) {
   label_counts_.push_back(label_count);
   unary_offsets_.push_back(unaries_.size());
   unaries_.resize(unaries_.size() + label_count, Cost{0});
+  incident_.emplace_back();
   max_labels_ = std::max(max_labels_, label_count);
   return id;
 }
@@ -56,8 +57,11 @@ std::size_t Mrf::add_edge(VariableId u, VariableId v, MatrixId matrix_id) {
           "matrix rows must equal label count of u");
   require(m.cols == label_counts_[v], "Mrf::add_edge",
           "matrix cols must equal label count of v");
+  const std::size_t index = edges_.size();
   edges_.push_back(MrfEdge{u, v, matrix_id});
-  return edges_.size() - 1;
+  incident_[u].push_back(index);
+  incident_[v].push_back(index);
+  return index;
 }
 
 void Mrf::check_labeling(std::span<const Label> labels) const {

@@ -474,18 +474,16 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
   Cost previous_bound = -std::numeric_limits<Cost>::infinity();
 
   // Fixed-point replay (DESIGN.md §5).  The bound and the extraction are
-  // pure functions of the messages, and `version` counts the iterations
-  // that changed a message.  Once a full iteration changes nothing, every
-  // later one would repeat it bit for bit, so the loop skips the sweeps and
-  // keeps the bound; an extraction at an already-extracted version would
+  // pure functions of the messages.  Once a full iteration changes nothing,
+  // every later one would repeat it bit for bit, so the loop skips the
+  // sweeps and keeps the bound; an extraction from unchanged messages would
   // reproduce an energy already compared, so it is skipped too.
   bool at_fixed_point = false;
-  std::size_t version = 0;
-  std::size_t extracted_version = static_cast<std::size_t>(-1);
+  bool extraction_current = false;  ///< messages unchanged since the last extraction
   Cost bound = 0;
   const auto consider_extraction = [&] {
-    if (extracted_version == version) return;
-    extracted_version = version;
+    if (extraction_current) return;
+    extraction_current = true;
     std::vector<Label> labels = machine.extract();
     const Cost energy = mrf.energy(labels);
     if (energy < result.energy) {
@@ -508,7 +506,7 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
     if (!at_fixed_point) {
       changed = machine.sweep(/*ascending=*/false) || changed;
       bound = machine.lower_bound();
-      if (changed) ++version;
+      if (changed) extraction_current = false;
       at_fixed_point = !changed;
     }
     result.lower_bound = std::max(result.lower_bound, bound);

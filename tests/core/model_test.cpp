@@ -103,17 +103,25 @@ TEST(ProductCatalog, SimilarityTableSurvivesGrowth) {
   EXPECT_THROW((void)catalog.similarity(members[0][0], 9999), InvalidArgument);
 }
 
-TEST(ProductCatalog, SimilarityTableIsBounded) {
+TEST(ProductCatalog, LargeCatalogsLoad) {
+  // Five services of 600 products each, one similarity pair per service
+  // registered before the last product: no size bound, and the pair and
+  // the zero default read back after the table grows.
   ProductCatalog catalog;
-  const ServiceId s = catalog.add_service("S");
-  std::size_t added = 0;
-  try {
-    for (;; ++added) (void)catalog.add_product(s, "p" + std::to_string(added));
-  } catch (const InvalidArgument&) {
+  for (int s = 0; s < 5; ++s) {
+    const ServiceId service = catalog.add_service("S" + std::to_string(s));
+    for (int i = 0; i < 599; ++i) (void)catalog.add_product(service, "p" + std::to_string(i));
+    const auto& members = catalog.products_of(service);
+    catalog.set_similarity(members[0], members[598], 0.25);
+    (void)catalog.add_product(service, "p599");
   }
-  // The table doubles from 4 to 2048 rows: 2048² entries is the bound.
-  EXPECT_EQ(added, 2048u);
-  EXPECT_EQ(catalog.product_count(), 2048u);
+  EXPECT_EQ(catalog.product_count(), 3000u);
+  for (ServiceId s = 0; s < 5; ++s) {
+    const auto& members = catalog.products_of(s);
+    EXPECT_EQ(catalog.similarity(members[598], members[0]), 0.25);
+    EXPECT_EQ(catalog.similarity(members[599], members[0]), 0.0);
+    EXPECT_EQ(catalog.similarity(members[599], members[599]), 1.0);
+  }
 }
 
 TEST(Network, HostsServicesLinks) {

@@ -65,14 +65,8 @@ TEST(CompiledMrf, CsrIncidenceMatchesModelAdjacency) {
   ASSERT_EQ(compiled.variable_count(), mrf.variable_count());
   ASSERT_EQ(compiled.edge_count(), mrf.edge_count());
   const auto edges = mrf.edges();
-  // Model adjacency: each variable's edges in insertion order.
-  std::vector<std::vector<std::size_t>> adjacency(mrf.variable_count());
-  for (std::size_t e = 0; e < edges.size(); ++e) {
-    adjacency[edges[e].u].push_back(e);
-    adjacency[edges[e].v].push_back(e);
-  }
   for (VariableId v = 0; v < mrf.variable_count(); ++v) {
-    const auto& expected = adjacency[v];
+    const auto& expected = mrf.incident_edges()[v];
     const auto incidents = compiled.incident(v);
     ASSERT_EQ(incidents.size(), expected.size());
     ASSERT_EQ(compiled.degree(v), expected.size());

@@ -71,6 +71,19 @@ TEST(Mrf, ValidationErrors) {
   EXPECT_THROW((void)mrf.energy(std::vector<Label>{0, 3}), icsdiv::InvalidArgument);
 }
 
+TEST(Mrf, IncidentEdgesTracked) {
+  Mrf mrf;
+  const VariableId a = mrf.add_variable(2);
+  const VariableId b = mrf.add_variable(2);
+  const VariableId c = mrf.add_variable(2);
+  const MatrixId m = mrf.add_matrix(2, 2, {0, 1, 1, 0});
+  mrf.add_edge(a, b, m);
+  mrf.add_edge(b, c, m);
+  EXPECT_EQ(mrf.incident_edges()[a].size(), 1u);
+  EXPECT_EQ(mrf.incident_edges()[b].size(), 2u);
+  EXPECT_EQ(mrf.incident_edges()[c].size(), 1u);
+}
+
 TEST(Mrf, EmptyModelEnergyZero) {
   const Mrf mrf;
   EXPECT_DOUBLE_EQ(mrf.energy(std::vector<Label>{}), 0.0);

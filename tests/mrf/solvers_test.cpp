@@ -274,6 +274,7 @@ void expect_same_mrf(const Mrf& actual, const Mrf& expected) {
     EXPECT_EQ(actual.edges()[e].v, expected.edges()[e].v);
     EXPECT_EQ(actual.edges()[e].matrix, expected.edges()[e].matrix);
   }
+  EXPECT_EQ(actual.incident_edges(), expected.incident_edges());
 }
 
 TEST(Decompose, OnePassSplitEqualsPerComponentExtraction) {
@@ -292,6 +293,32 @@ TEST(Decompose, OnePassSplitEqualsPerComponentExtraction) {
     EXPECT_THROW((void)split.extract(components.size()), icsdiv::InvalidArgument);
   }
   EXPECT_EQ(ComponentSplit(Mrf{}).size(), 0u);
+}
+
+TEST(Decompose, SplitOfSparselySpreadComponentKeepsParentOrder) {
+  // Component {0, 1} owns edges 0, 300 (reversed) and 599; the edges
+  // between them form a chain over variables 2–9.  The first component's
+  // edge ids are too sparse for the bitmap walk, so they are sorted.
+  Mrf mrf;
+  for (int v = 0; v < 10; ++v) mrf.add_variable(2);
+  const MatrixId a = mrf.add_matrix(2, 2, {0, 1, 1, 0});
+  const MatrixId b = mrf.add_matrix(2, 2, {1, 0, 0, 1});
+  mrf.add_edge(0, 1, a);
+  for (int e = 1; e < 599; ++e) {
+    if (e == 300) mrf.add_edge(1, 0, b);
+    else mrf.add_edge(static_cast<VariableId>(2 + e % 7), static_cast<VariableId>(3 + e % 7), b);
+  }
+  mrf.add_edge(0, 1, b);
+  const auto components = mrf_components(mrf);
+  const ComponentSplit split(mrf);
+  ASSERT_EQ(split.size(), components.size());
+  for (std::size_t c = 0; c < components.size(); ++c) {
+    const SubProblem actual = split.extract(c);
+    const SubProblem expected = extract_subproblem(mrf, components[c]);
+    EXPECT_EQ(actual.parent_variable, expected.parent_variable);
+    expect_same_mrf(actual.mrf, expected.mrf);
+  }
+  EXPECT_EQ(split.extract(0).mrf.edge_count(), 3u);
 }
 
 /// The decomposed solve as it was built before the one-pass split: one
