@@ -3,11 +3,13 @@
 // simulator tick loop, and JSON feed parsing.
 #include <benchmark/benchmark.h>
 
+#include "api/requests.hpp"
 #include "bayes/least_effort.hpp"
 #include "bayes/metric.hpp"
 #include "bayes/reliability.hpp"
 #include "bench_util.hpp"
 #include "core/optimizer.hpp"
+#include "core/serialization.hpp"
 #include "mrf/bp.hpp"
 #include "mrf/compiled.hpp"
 #include "mrf/icm.hpp"
@@ -433,6 +435,42 @@ void BM_JsonParseFeed(benchmark::State& state) {
                           static_cast<std::int64_t>(text.size()));
 }
 BENCHMARK(BM_JsonParseFeed);
+
+/// api::request_from_frame on the compact `optimize` frame of a
+/// range(0)-host deployment (degree 8, 4 services × 4 products: the
+/// daemon_mixed networks).  range(1) = 0: cold, a fresh DocumentTable per
+/// decode, so the scan reads the whole frame and interns both documents
+/// (a daemon miss).  range(1) = 1: warm, the table already holds both
+/// documents, so the scan skips them (a daemon repeat).  Both copy the
+/// frame into the decoder, as the daemon's read buffer hands it over.
+void BM_DecodeFrame(benchmark::State& state) {
+  runner::WorkloadParams params;
+  params.hosts = static_cast<std::size_t>(state.range(0));
+  params.average_degree = 8.0;
+  params.services = 4;
+  params.products_per_service = 4;
+  params.seed = 2020;
+  const runner::WorkloadInstance workload = runner::make_workload(params);
+  api::OptimizeRequest optimize;
+  optimize.catalog = core::catalog_to_json(*workload.catalog);
+  optimize.network = core::network_to_json(*workload.network);
+  const std::string frame = api::request_to_wire(optimize).dump();
+  const bool warm = state.range(1) != 0;
+  api::DocumentTable warm_table(96, 32u << 20);
+  if (warm) (void)api::request_from_frame(frame, &warm_table);
+  for (auto _ : state) {
+    api::DocumentTable cold_table(96, 32u << 20);
+    benchmark::DoNotOptimize(api::request_from_frame(frame, warm ? &warm_table : &cold_table));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(frame.size()));
+}
+BENCHMARK(BM_DecodeFrame)
+    ->Args({500, 0})
+    ->Args({500, 1})
+    ->Args({2000, 0})
+    ->Args({2000, 1})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Rng(benchmark::State& state) {
   support::Rng rng(1);

@@ -18,12 +18,30 @@ namespace {
   throw InvalidArgument("missing required \"" + std::string(key) + "\" in " + std::string(context));
 }
 
+/// The top-level keys whose values are request documents.
+bool is_document_key(std::string_view key) {
+  return key == "catalog" || key == "network" || key == "assignment" || key == "feed" ||
+         key == "grid";
+}
+
+/// A document value that a DocumentTable vouched for during the scan:
+/// where its span starts in the frame, and the interned document.
+struct TableMatch {
+  const char* at;
+  Document document;
+};
+
 /// A request envelope's top-level members over its canonical frame text.
-/// Small fields parse on demand; documents adopt their span of the frame.
+/// Small fields parse on demand; documents adopt their span of the frame,
+/// or the interned document when the table vouched for the span.
 class Fields {
  public:
-  Fields(std::shared_ptr<const std::string> frame, std::vector<support::JsonScan::Member> members)
-      : frame_(std::move(frame)), members_(std::move(members)) {}
+  Fields(std::shared_ptr<const std::string> frame, std::vector<support::JsonScan::Member> members,
+         std::vector<TableMatch> matches, DocumentTable* table)
+      : frame_(std::move(frame)),
+        members_(std::move(members)),
+        matches_(std::move(matches)),
+        table_(table) {}
 
   [[nodiscard]] const std::vector<support::JsonScan::Member>& members() const { return members_; }
 
@@ -37,7 +55,16 @@ class Fields {
   }
 
   [[nodiscard]] Document document(std::string_view key, std::string_view context) const {
-    return Document::adopt(frame_, required_span(key, context));
+    const std::string_view text = required_span(key, context);
+    for (const TableMatch& match : matches_) {
+      if (match.at == text.data()) {
+        table_->count_hit();
+        return match.document;
+      }
+    }
+    Document document = Document::adopt(frame_, text);
+    if (table_ != nullptr) table_->intern(document);
+    return document;
   }
 
  private:
@@ -58,6 +85,8 @@ class Fields {
 
   std::shared_ptr<const std::string> frame_;
   std::vector<support::JsonScan::Member> members_;
+  std::vector<TableMatch> matches_;
+  DocumentTable* table_;
 };
 
 void check_keys(const Fields& fields, std::initializer_list<std::string_view> allowed,
@@ -123,6 +152,30 @@ runner::StageCounters counters_from_json(const support::Json& json) {
   counters.hits = static_cast<std::size_t>(object.at("hits").as_integer());
   counters.evicted = static_cast<std::size_t>(object.at("evicted").as_integer());
   return counters;
+}
+
+support::Json documents_to_json(const DocumentTableStats& stats) {
+  support::JsonObject object;
+  object.set("hits", stats.hits);
+  object.set("misses", stats.misses);
+  object.set("evicted", stats.evicted);
+  object.set("entries", stats.entries);
+  object.set("bytes", stats.bytes);
+  return support::Json(std::move(object));
+}
+
+DocumentTableStats documents_from_json(const support::Json& json) {
+  const support::JsonObject& object = json.as_object();
+  const auto count = [&object](std::string_view key) {
+    return static_cast<std::size_t>(object.at(key).as_integer());
+  };
+  DocumentTableStats stats;
+  stats.hits = count("hits");
+  stats.misses = count("misses");
+  stats.evicted = count("evicted");
+  stats.entries = count("entries");
+  stats.bytes = count("bytes");
+  return stats;
 }
 
 runner::StageStats stage_stats_from_json(const support::Json& json) {
@@ -497,6 +550,7 @@ support::Json result_to_json(const StatusResponse& response) {
   object.set("solve_seconds_total", response.solve_seconds_total);
   object.set("batch_wall_seconds_total", response.batch_wall_seconds_total);
   object.set("stage_stats", std::move(caches));
+  object.set("documents", documents_to_json(response.documents));
   object.set("batch_stage_stats", response.batch_stages.to_json());
   return support::Json(std::move(object));
 }
@@ -521,6 +575,7 @@ StatusResponse status_result(const support::JsonObject& object) {
   response.solve_cache = counters_from_json(caches.at("solve"));
   response.eval_cache = counters_from_json(caches.at("eval"));
   response.batch_cache = counters_from_json(caches.at("batch"));
+  response.documents = documents_from_json(object.at("documents"));
   response.batch_stages = stage_stats_from_json(object.at("batch_stage_stats"));
   return response;
 }
@@ -585,17 +640,30 @@ support::Json request_to_wire(const Request& request) {
   return support::Json(std::move(object));
 }
 
-Request request_from_frame(std::string frame) {
+Request request_from_frame(std::string frame, DocumentTable* documents) {
   // The views Json::scan returns point into the shared copy, which the
   // adopted documents keep alive.
   const auto text = std::make_shared<std::string>(std::move(frame));
-  support::JsonScan scan = support::Json::scan(*text);
+  std::vector<TableMatch> matches;
+  support::JsonSkip skip;
+  if (documents != nullptr) {
+    skip = [documents, &matches](std::string_view key, std::string_view rest) -> std::size_t {
+      if (!is_document_key(key)) return 0;
+      std::optional<Document> found = documents->find(rest);
+      if (!found) return 0;
+      const std::size_t size = found->text().size();
+      matches.push_back({rest.data(), std::move(*found)});
+      return size;
+    };
+  }
+  support::JsonScan scan = support::Json::scan(*text, skip);
   if (!scan.canonical) {
+    matches.clear();
     *text = support::Json::parse(*text).dump();
-    scan = support::Json::scan(*text);
+    scan = support::Json::scan(*text, skip);
   }
   if (!scan.object) throw InvalidArgument("request must be a JSON object");
-  const Fields fields(text, std::move(scan.members));
+  const Fields fields(text, std::move(scan.members), std::move(matches), documents);
   const std::optional<support::Json> version = fields.find("icsdivd");
   check_protocol(version ? &*version : nullptr);
   const std::string name = fields.required("request", "request envelope").as_string();

@@ -132,8 +132,11 @@ using Request = std::variant<OptimizeRequest, EvaluateRequest, ReportRequest, Si
 /// fields, or a protocol version mismatch.  A canonical frame's documents
 /// adopt their spans of it without copying; any other frame is
 /// normalised once (parse, then dump) first, so spacing never changes a
-/// document's digest.
-[[nodiscard]] Request request_from_frame(std::string frame);
+/// document's digest.  With a `documents` table, a document value whose
+/// bytes begin with an interned text is skipped by the scan and adopts
+/// that text and digest, and every other document is interned; the
+/// Request, or the error thrown, is the same as without a table.
+[[nodiscard]] Request request_from_frame(std::string frame, DocumentTable* documents = nullptr);
 
 /// request_from_frame over an already-parsed envelope.
 [[nodiscard]] Request request_from_wire(const support::Json& wire);
@@ -233,6 +236,8 @@ struct StatusResponse {
   runner::StageCounters solve_cache;
   runner::StageCounters eval_cache;
   runner::StageCounters batch_cache;
+  /// The session's table of decoded request documents.
+  DocumentTableStats documents;
   /// Stage counters accumulated over every executed batch request.
   runner::StageStats batch_stages;
 };

@@ -377,7 +377,8 @@ struct Session::Impl {
         models_(options_.model_cache_capacity),
         solves_(options_.solve_cache_capacity),
         evals_(options_.eval_cache_capacity),
-        batches_(options_.batch_cache_capacity) {}
+        batches_(options_.batch_cache_capacity),
+        documents_(3 * options_.model_cache_capacity, options_.model_cache_capacity << 20) {}
 
   Response execute(const Request& request) {
     {
@@ -420,6 +421,7 @@ struct Session::Impl {
     response.solve_cache = solves_.counters();
     response.eval_cache = evals_.counters();
     response.batch_cache = batches_.counters();
+    response.documents = documents_.stats();
     const support::MutexLock lock(stats_mutex_);
     response.requests_total = requests_total_;
     response.requests_failed = requests_failed_;
@@ -429,6 +431,8 @@ struct Session::Impl {
     response.batch_stages = batch_stages_;
     return response;
   }
+
+  [[nodiscard]] DocumentTable& documents() { return documents_; }
 
  private:
   [[nodiscard]] static VersionResponse version() {
@@ -721,6 +725,7 @@ struct Session::Impl {
   CoalescingCache<SolveValue> solves_;
   CoalescingCache<Response> evals_;
   CoalescingCache<BatchResponse> batches_;
+  DocumentTable documents_;  ///< thread-safe on its own
 
   mutable support::Mutex stats_mutex_;
   std::size_t requests_total_ ICSDIV_GUARDED_BY(stats_mutex_) = 0;
@@ -738,6 +743,8 @@ Session::~Session() = default;
 Response Session::execute(const Request& request) { return impl_->execute(request); }
 
 StatusResponse Session::status() const { return impl_->status(); }
+
+DocumentTable& Session::documents() { return impl_->documents(); }
 
 Response execute(const Request& request, Session& session) { return session.execute(request); }
 

@@ -127,6 +127,12 @@ class Session {
   /// The `status` snapshot (also what a StatusRequest returns).
   [[nodiscard]] StatusResponse status() const;
 
+  /// The table of validated request documents that frames decode through
+  /// (request_from_frame).  It holds up to 3 × model_cache_capacity texts
+  /// (a catalog, a network and an assignment per cached model) and
+  /// model_cache_capacity MiB of text.
+  [[nodiscard]] DocumentTable& documents();
+
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;

@@ -158,7 +158,8 @@ struct Server::Impl {
   bool serve_frame(Connection& connection, std::string payload) {
     support::Json reply;
     try {
-      const api::Request request = api::request_from_frame(std::move(payload));
+      const api::Request request =
+          api::request_from_frame(std::move(payload), &session_.documents());
       reply = api::response_to_wire(session_.execute(request));
     } catch (const std::exception& error) {
       reply = api::error_to_wire(api::make_error_body(error));

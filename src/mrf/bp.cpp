@@ -162,15 +162,12 @@ SolveResult BpSolver::solve_bp(const CompiledMrf& compiled, const BpOptions& opt
     result.iterations = iteration;
 
     const bool converged_now = max_delta < options.tolerance;
-    const bool timed_out =
-        options.time_limit_seconds > 0 && watch.seconds() > options.time_limit_seconds;
     const bool expired = options.cancel.expired();
     const bool last = iteration == options.max_iterations;
 
     // Decode from beliefs and keep the best labeling seen (BP can cycle).
     // The O(E) energy evaluation is amortised by decode_interval.
-    if (converged_now || timed_out || expired || last ||
-        iteration % options.decode_interval == 0) {
+    if (converged_now || expired || last || iteration % options.decode_interval == 0) {
       run_shards(decode_shard);
       const Cost energy = mrf.energy(labels);
       if (energy < result.energy) {
@@ -187,7 +184,6 @@ SolveResult BpSolver::solve_bp(const CompiledMrf& compiled, const BpOptions& opt
       result.truncated = true;
       break;
     }
-    if (timed_out) break;
   }
 
   result.seconds = watch.seconds();

@@ -60,7 +60,6 @@ SolveResult IcmSolver::solve_compiled(const CompiledMrf& compiled,
         changed = true;
       }
     }
-    if (options.time_limit_seconds > 0 && watch.seconds() > options.time_limit_seconds) break;
   }
 
   result.energy = mrf.energy(result.labels);

@@ -17,11 +17,14 @@ struct SolveOptions {
   /// Convergence threshold on the lower-bound / energy improvement per
   /// iteration (absolute).
   Cost tolerance = 1e-9;
-  /// Wall-clock budget in seconds; 0 disables the limit.
+  /// Read by no solver and no cache key.  A wall-clock budget is a
+  /// `cancel` deadline, whose early stop is tagged `truncated` and never
+  /// cached; the field remains only because the end-to-end benchmark's
+  /// stage-plan mirror still names it.
   double time_limit_seconds = 0.0;
-  /// Cooperative cancellation, polled once per iteration.  Solvers that
-  /// track a best primal stop and return it tagged `truncated`; the
-  /// default token never fires.
+  /// Cooperative cancellation and the wall-clock budget, polled once per
+  /// iteration.  Solvers that track a best primal stop and return it
+  /// tagged `truncated`; the default token never fires.
   support::CancelToken cancel;
   /// Optional warm start; must match variable_count or be empty.
   std::vector<Label> initial_labels;

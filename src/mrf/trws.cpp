@@ -528,8 +528,6 @@ SolveResult TrwsSolver::solve_trws(const CompiledMrf& compiled,
       break;
     }
     previous_bound = bound;
-
-    if (options.time_limit_seconds > 0 && watch.seconds() > options.time_limit_seconds) break;
   }
 
   // Ensure a final extraction happened even when track_best_primal is off

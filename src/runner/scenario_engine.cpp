@@ -250,7 +250,6 @@ ArtifactKey solve_key(const ArtifactKey& problem, const ScenarioSpec& spec) {
   hasher.mix(spec.solver)
       .mix(spec.solve.max_iterations)
       .mix(spec.solve.tolerance)
-      .mix(spec.solve.time_limit_seconds)
       .mix(static_cast<std::uint64_t>(spec.solve.initial_labels.size()))
       .mix(spec.decompose);
   for (const mrf::Label label : spec.solve.initial_labels) {

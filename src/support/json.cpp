@@ -275,11 +275,12 @@ class Parser {
     return value;
   }
 
-  JsonScan scan_document()
+  JsonScan scan_document(const JsonSkip& skip)
     requires(!kBuild)
   {
     JsonScan scan;
     members_ = &scan.members;
+    skip_ = skip ? &skip : nullptr;
     skip_whitespace();
     scan.object = !eof() && text_[pos_] == '{';
     (void)parse_document();
@@ -300,6 +301,7 @@ class Parser {
   // runs the costlier checks (duplicate keys, double spellings).
   bool canonical_ = true;
   std::vector<JsonScan::Member>* members_ = nullptr;
+  const JsonSkip* skip_ = nullptr;
 
   [[noreturn]] void fail(const std::string& message) const {
     throw ParseError("JSON: " + message, line_, pos_ - line_start_ + 1);
@@ -395,14 +397,23 @@ class Parser {
       if constexpr (kBuild) {
         object.set(std::move(key), parse_value(depth));
       } else {
-        (void)parse_value(depth);
+        const bool member = depth == 1 && members_ != nullptr;
+        std::string decoded = member ? decode_key(key, key_start) : std::string();
+        // A vouched-for value holds no newline, so line_ stays put.
+        const std::size_t skipped =
+            member && skip_ != nullptr ? (*skip_)(decoded, text_.substr(pos_)) : 0;
+        ensure(skipped <= text_.size() - pos_, "Json::scan", "skip hook passed the end");
+        if (skipped != 0) {
+          pos_ += skipped;
+        } else {
+          (void)parse_value(depth);
+        }
         // Canonical text has no duplicate keys: dump() would drop one.
         // Raw spans compare exactly here, because canonical escaping is
         // one-to-one (a non-canonical escape already cleared canonical_).
         if (canonical_ && !keys.insert(key)) canonical_ = false;
-        if (depth == 1 && members_ != nullptr) {
-          members_->push_back({decode_key(key, key_start),
-                               text_.substr(value_start, pos_ - value_start)});
+        if (member) {
+          members_->push_back({std::move(decoded), text_.substr(value_start, pos_ - value_start)});
         }
       }
       skip_whitespace();
@@ -637,6 +648,8 @@ class Parser {
 
 Json Json::parse(std::string_view text) { return Parser<true>(text).parse_document(); }
 
-JsonScan Json::scan(std::string_view text) { return Parser<false>(text).scan_document(); }
+JsonScan Json::scan(std::string_view text, const JsonSkip& skip) {
+  return Parser<false>(text).scan_document(skip);
+}
 
 }  // namespace icsdiv::support

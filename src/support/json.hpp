@@ -21,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -92,6 +93,16 @@ struct JsonScan {
   bool canonical = false;       ///< Json::parse(text).dump() == text
 };
 
+/// Json::scan's hook at each top-level member value: given the member's
+/// decoded key and the text from the value's first byte to the end of the
+/// document, it returns the length of a prefix to skip unscanned, or 0 to
+/// scan the value.  A nonzero length vouches that the prefix is an object
+/// or array that a full scan accepted, as canonical, as a top-level member
+/// value: such a value ends at its own closing bracket and holds no
+/// newline, so skipping it leaves the scan's result and its ParseError
+/// positions exactly as a full scan of the same text would.
+using JsonSkip = std::function<std::size_t(std::string_view key, std::string_view rest)>;
+
 /// A JSON value.  Integers that fit in int64 are kept exact; other numbers
 /// are doubles.
 class Json {
@@ -139,8 +150,9 @@ class Json {
   /// Parses a complete JSON document; trailing garbage is an error.
   static Json parse(std::string_view text);
   /// Validates a document exactly as parse() does (same grammar, depth
-  /// limit and ParseError positions) without building it.
-  static JsonScan scan(std::string_view text);
+  /// limit and ParseError positions) without building it.  `skip`, when
+  /// set, may vouch for top-level member values (see JsonSkip).
+  static JsonScan scan(std::string_view text, const JsonSkip& skip = {});
 
  private:
   std::variant<std::nullptr_t, bool, std::int64_t, double, std::string, JsonArray, JsonObject>

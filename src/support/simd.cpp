@@ -50,21 +50,6 @@ void add_scalar(double* dst, const double* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-void sub_scalar_vec(double* dst, const double* a, const double* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-void scale_sub_scalar(double* dst, double s, const double* a, const double* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = s * a[i] - b[i];
-}
-
-void min_plus_row_scalar(double* out, const double* row, double base, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const double sum = base + row[i];
-    out[i] = sum < out[i] ? sum : out[i];
-  }
-}
-
 double min_value_scalar(const double* v, std::size_t n) {
   double m = kInf;
   for (std::size_t i = 0; i < n; ++i) m = v[i] < m ? v[i] : m;
@@ -73,10 +58,6 @@ double min_value_scalar(const double* v, std::size_t n) {
 
 void sub_scalar_scalar(double* v, double c, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) v[i] -= c;
-}
-
-void add_rows2_scalar(double* dst, const double* a, double base, const double* b, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] = (base + a[i]) + b[i];
 }
 
 double damp_update_scalar(double* out, const double* old_msg, double delta, double damping,
@@ -128,19 +109,6 @@ void sum_rows_scalar(double* dst, const double* const* rows, std::size_t row_cou
     for (std::size_t r = 1; r < row_count; ++r) s += rows[r][j];
     dst[j] = s;
   }
-}
-
-double min_convolve_scalar(double* out, const double* rows, const double* base,
-                           std::size_t in_count, std::size_t out_count) {
-  for (std::size_t j = 0; j < out_count; ++j) {
-    double m = kInf;
-    for (std::size_t i = 0; i < in_count; ++i) {
-      const double sum = base[i] + rows[i * out_count + j];
-      m = sum < m ? sum : m;
-    }
-    out[j] = m;
-  }
-  return min_value_scalar(out, out_count);
 }
 
 void joint_block_scalar(double* dst, const double* col_add, const double* row_add, const double* m,
@@ -205,11 +173,10 @@ std::size_t fire_record_scalar(const std::uint64_t* words, const std::uint64_t* 
 }
 
 constexpr Kernels kScalarTable = {
-    add_scalar,        sub_scalar_vec,      scale_sub_scalar, min_plus_row_scalar,
-    min_value_scalar,  sub_scalar_scalar,   add_rows2_scalar, damp_update_scalar,
-    fold_chord_scalar, fold_tree_cm_scalar, fold_tree_mc_scalar,
-    sum_rows_scalar,   min_convolve_scalar, joint_block_scalar, min_convolve2_scalar,
-    gather_unset_scalar, accept_indexed_scalar, fire_record_scalar,
+    add_scalar,          min_value_scalar,      sub_scalar_scalar,  damp_update_scalar,
+    fold_chord_scalar,   fold_tree_cm_scalar,   fold_tree_mc_scalar, sum_rows_scalar,
+    joint_block_scalar,  min_convolve2_scalar,  gather_unset_scalar, accept_indexed_scalar,
+    fire_record_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -250,40 +217,6 @@ ICSDIV_AVX2 void add_avx2(double* dst, const double* src, std::size_t n) {
   for (; i < n; ++i) dst[i] += src[i];
 }
 
-ICSDIV_AVX2 void sub_avx2(double* dst, const double* a, const double* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    _mm256_storeu_pd(dst + i, _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-ICSDIV_AVX2 void scale_sub_avx2(double* dst, double s, const double* a, const double* b,
-                                std::size_t n) {
-  const __m256d vs = _mm256_set1_pd(s);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d scaled = _mm256_mul_pd(vs, _mm256_loadu_pd(a + i));
-    _mm256_storeu_pd(dst + i, _mm256_sub_pd(scaled, _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = s * a[i] - b[i];
-}
-
-ICSDIV_AVX2 void min_plus_row_avx2(double* out, const double* row, double base, std::size_t n) {
-  const __m256d vbase = _mm256_set1_pd(base);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d sum = _mm256_add_pd(vbase, _mm256_loadu_pd(row + i));
-    // vminpd(sum, out) = sum < out ? sum : out — keeps out on ties, like
-    // the scalar reference.
-    _mm256_storeu_pd(out + i, _mm256_min_pd(sum, _mm256_loadu_pd(out + i)));
-  }
-  for (; i < n; ++i) {
-    const double sum = base + row[i];
-    out[i] = sum < out[i] ? sum : out[i];
-  }
-}
-
 ICSDIV_AVX2 double horizontal_min(__m256d acc) {
   __m128d m = _mm_min_pd(_mm256_castpd256_pd128(acc), _mm256_extractf128_pd(acc, 1));
   m = _mm_min_sd(m, _mm_unpackhi_pd(m, m));
@@ -309,17 +242,6 @@ ICSDIV_AVX2 void sub_scalar_avx2(double* v, double c, std::size_t n) {
     _mm256_storeu_pd(v + i, _mm256_sub_pd(_mm256_loadu_pd(v + i), vc));
   }
   for (; i < n; ++i) v[i] -= c;
-}
-
-ICSDIV_AVX2 void add_rows2_avx2(double* dst, const double* a, double base, const double* b,
-                                std::size_t n) {
-  const __m256d vbase = _mm256_set1_pd(base);
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256d left = _mm256_add_pd(vbase, _mm256_loadu_pd(a + i));
-    _mm256_storeu_pd(dst + i, _mm256_add_pd(left, _mm256_loadu_pd(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = (base + a[i]) + b[i];
 }
 
 ICSDIV_AVX2 double damp_update_avx2(double* out, const double* old_msg, double delta,
@@ -534,29 +456,6 @@ ICSDIV_AVX2 void sum_rows_avx2(double* dst, const double* const* rows, std::size
   }
 }
 
-ICSDIV_AVX2 double min_convolve_avx2(double* out, const double* rows, const double* base,
-                                     std::size_t in_count, std::size_t out_count) {
-  std::size_t j = 0;
-  for (; j + 4 <= out_count; j += 4) {
-    __m256d m = _mm256_set1_pd(kInf);
-    for (std::size_t i = 0; i < in_count; ++i) {
-      const __m256d sum =
-          _mm256_add_pd(_mm256_set1_pd(base[i]), _mm256_loadu_pd(rows + i * out_count + j));
-      m = _mm256_min_pd(sum, m);  // sum < m ? sum : m, like the scalar loop
-    }
-    _mm256_storeu_pd(out + j, m);
-  }
-  for (; j < out_count; ++j) {
-    double m = kInf;
-    for (std::size_t i = 0; i < in_count; ++i) {
-      const double sum = base[i] + rows[i * out_count + j];
-      m = sum < m ? sum : m;
-    }
-    out[j] = m;
-  }
-  return min_value_avx2(out, out_count);
-}
-
 ICSDIV_AVX2 void joint_block_avx2(double* dst, const double* col_add, const double* row_add,
                                   const double* m, std::size_t rows, std::size_t cols) {
   for (std::size_t a = 0; a < rows; ++a) {
@@ -600,11 +499,10 @@ ICSDIV_AVX2 double min_convolve2_avx2(double* out, const double* rows, double s,
 }
 
 constexpr Kernels kAvx2Table = {
-    add_avx2,        sub_avx2,          scale_sub_avx2, min_plus_row_avx2,
-    min_value_avx2,  sub_scalar_avx2,   add_rows2_avx2, damp_update_avx2,
-    fold_chord_avx2, fold_tree_cm_avx2, fold_tree_mc_avx2,
-    sum_rows_avx2,   min_convolve_avx2, joint_block_avx2, min_convolve2_avx2,
-    gather_unset_avx2, accept_indexed_avx2, fire_record_avx2,
+    add_avx2,          min_value_avx2,      sub_scalar_avx2,   damp_update_avx2,
+    fold_chord_avx2,   fold_tree_cm_avx2,   fold_tree_mc_avx2, sum_rows_avx2,
+    joint_block_avx2,  min_convolve2_avx2,  gather_unset_avx2, accept_indexed_avx2,
+    fire_record_avx2,
 };
 
 #endif  // ICSDIV_SIMD_AVX2
@@ -624,37 +522,6 @@ void add_neon(double* dst, const double* src, std::size_t n) {
     vst1q_f64(dst + i, vaddq_f64(vld1q_f64(dst + i), vld1q_f64(src + i)));
   }
   for (; i < n; ++i) dst[i] += src[i];
-}
-
-void sub_neon(double* dst, const double* a, const double* b, std::size_t n) {
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vsubq_f64(vld1q_f64(a + i), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = a[i] - b[i];
-}
-
-void scale_sub_neon(double* dst, double s, const double* a, const double* b, std::size_t n) {
-  const float64x2_t vs = vdupq_n_f64(s);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vsubq_f64(vmulq_f64(vs, vld1q_f64(a + i)), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = s * a[i] - b[i];
-}
-
-void min_plus_row_neon(double* out, const double* row, double base, std::size_t n) {
-  const float64x2_t vbase = vdupq_n_f64(base);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const float64x2_t sum = vaddq_f64(vbase, vld1q_f64(row + i));
-    const float64x2_t cur = vld1q_f64(out + i);
-    vst1q_f64(out + i, vbslq_f64(vcltq_f64(sum, cur), sum, cur));
-  }
-  for (; i < n; ++i) {
-    const double sum = base + row[i];
-    out[i] = sum < out[i] ? sum : out[i];
-  }
 }
 
 double min_value_neon(const double* v, std::size_t n) {
@@ -682,15 +549,6 @@ void sub_scalar_neon(double* v, double c, std::size_t n) {
     vst1q_f64(v + i, vsubq_f64(vld1q_f64(v + i), vc));
   }
   for (; i < n; ++i) v[i] -= c;
-}
-
-void add_rows2_neon(double* dst, const double* a, double base, const double* b, std::size_t n) {
-  const float64x2_t vbase = vdupq_n_f64(base);
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    vst1q_f64(dst + i, vaddq_f64(vaddq_f64(vbase, vld1q_f64(a + i)), vld1q_f64(b + i)));
-  }
-  for (; i < n; ++i) dst[i] = (base + a[i]) + b[i];
 }
 
 double damp_update_neon(double* out, const double* old_msg, double delta, double damping,
@@ -811,28 +669,6 @@ void sum_rows_neon(double* dst, const double* const* rows, std::size_t row_count
   }
 }
 
-double min_convolve_neon(double* out, const double* rows, const double* base,
-                         std::size_t in_count, std::size_t out_count) {
-  std::size_t j = 0;
-  for (; j + 2 <= out_count; j += 2) {
-    float64x2_t m = vdupq_n_f64(kInf);
-    for (std::size_t i = 0; i < in_count; ++i) {
-      const float64x2_t sum = vaddq_f64(vdupq_n_f64(base[i]), vld1q_f64(rows + i * out_count + j));
-      m = vbslq_f64(vcltq_f64(sum, m), sum, m);  // sum < m ? sum : m
-    }
-    vst1q_f64(out + j, m);
-  }
-  for (; j < out_count; ++j) {
-    double m = kInf;
-    for (std::size_t i = 0; i < in_count; ++i) {
-      const double sum = base[i] + rows[i * out_count + j];
-      m = sum < m ? sum : m;
-    }
-    out[j] = m;
-  }
-  return min_value_neon(out, out_count);
-}
-
 void joint_block_neon(double* dst, const double* col_add, const double* row_add, const double* m,
                       std::size_t rows, std::size_t cols) {
   for (std::size_t a = 0; a < rows; ++a) {
@@ -874,11 +710,10 @@ double min_convolve2_neon(double* out, const double* rows, double s, const doubl
 }
 
 constexpr Kernels kNeonTable = {
-    add_neon,        sub_neon,          scale_sub_neon, min_plus_row_neon,
-    min_value_neon,  sub_scalar_neon,   add_rows2_neon, damp_update_neon,
-    fold_chord_neon, fold_tree_cm_neon, fold_tree_mc_neon,
-    sum_rows_neon,   min_convolve_neon, joint_block_neon, min_convolve2_neon,
-    gather_unset_scalar, accept_indexed_scalar, fire_record_scalar,
+    add_neon,            min_value_neon,        sub_scalar_neon,     damp_update_neon,
+    fold_chord_neon,     fold_tree_cm_neon,     fold_tree_mc_neon,   sum_rows_neon,
+    joint_block_neon,    min_convolve2_neon,    gather_unset_scalar, accept_indexed_scalar,
+    fire_record_scalar,
 };
 
 #endif  // ICSDIV_SIMD_NEON

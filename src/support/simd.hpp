@@ -58,25 +58,12 @@ struct Kernels {
   /// dst[i] += src[i] — message/unary aggregation (TRW-S, BP, ICM polish).
   void (*add)(double* dst, const double* src, std::size_t n);
 
-  /// dst[i] = a[i] - b[i] — BP's aggregate-subtract reparameterisation.
-  void (*sub)(double* dst, const double* a, const double* b, std::size_t n);
-
-  /// dst[i] = s * a[i] - b[i] — TRW-S's γ-scaled reparameterisation.
-  void (*scale_sub)(double* dst, double s, const double* a, const double* b, std::size_t n);
-
-  /// out[i] = std::min(out[i], base + row[i]) — one row of the min-plus
-  /// (min-convolution) message update.  Tie-keeps out[i], like std::min.
-  void (*min_plus_row)(double* out, const double* row, double base, std::size_t n);
-
   /// min over v[0..n), +0.0-canonicalised (∞ for n == 0) — message
   /// normalisation and the lower-bound root fold.
   double (*min_value)(const double* v, std::size_t n);
 
   /// v[i] -= c — message normalisation to min 0.
   void (*sub_scalar)(double* v, double c, std::size_t n);
-
-  /// dst[i] = (base + a[i]) + b[i] — the pair-sweep joint-cost row.
-  void (*add_rows2)(double* dst, const double* a, double base, const double* b, std::size_t n);
 
   /// BP damping: out[i] = damping * old_msg[i] + keep * (out[i] - delta)
   /// (keep = 1 - damping, hoisted); returns max |out[i] - old_msg[i]|,
@@ -108,19 +95,13 @@ struct Kernels {
   /// instead of one add() per incident edge.
   void (*sum_rows)(double* dst, const double* const* rows, std::size_t row_count, std::size_t n);
 
-  /// Fused min-plus convolution: out[j] = min over i of
-  /// (base[i] + rows[i·out_count + j]), ties keeping the earlier i;
-  /// returns the +0.0-canonicalised min over out (∞ when in_count is 0).
-  double (*min_convolve)(double* out, const double* rows, const double* base,
-                         std::size_t in_count, std::size_t out_count);
-
   /// Fused pair-sweep joint block:
   /// dst[a·cols + b] = (row_add[a] + col_add[b]) + m[a·cols + b].
   void (*joint_block)(double* dst, const double* col_add, const double* row_add, const double* m,
                       std::size_t rows, std::size_t cols);
 
-  /// min_convolve with the reparameterised base computed inline:
-  /// out[j] = min over i of ((s·a[i] − b[i]) + rows[i·out_count + j]),
+  /// Fused min-plus convolution with the reparameterised base computed
+  /// inline: out[j] = min over i of ((s·a[i] − b[i]) + rows[i·out_count + j]),
   /// ties keeping the earlier i; returns the +0.0-canonicalised min over
   /// out.  s = γ for the TRW-S update, s = 1.0 (an exact multiply) for
   /// BP's plain aggregate-subtract — both skip the reduced-aggregate

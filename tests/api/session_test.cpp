@@ -156,6 +156,116 @@ TEST(Session, AdoptedDocumentBuildsItsDomOnceAcrossThreads) {
   EXPECT_EQ((*doms.begin())->dump(), network.text());
 }
 
+TEST(Session, DocumentTableCountsColdThenWarmFrames) {
+  const Documents documents = make_documents();
+  Session session;
+  const support::Json wire = request_to_wire(optimize_request(documents));
+  const std::size_t bytes = documents.catalog.dump().size() + documents.network.dump().size();
+
+  const Request cold = request_from_frame(wire.dump(), &session.documents());
+  DocumentTableStats stats = session.status().documents;
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, 2u);  // catalog and network, both interned
+  EXPECT_EQ(stats.evicted, 0u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, bytes);
+
+  const Request warm = request_from_frame(wire.dump(), &session.documents());
+  const Request pretty = request_from_frame(wire.dump_pretty(), &session.documents());
+  stats = session.status().documents;
+  EXPECT_EQ(stats.hits, 4u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.entries, 2u);
+  EXPECT_EQ(stats.bytes, bytes);
+  for (const Request* decoded : {&warm, &pretty}) {
+    const OptimizeRequest& request = std::get<OptimizeRequest>(*decoded);
+    EXPECT_EQ(request.network.text(), std::get<OptimizeRequest>(cold).network.text());
+    EXPECT_EQ(request.network.digest(), std::get<OptimizeRequest>(cold).network.digest());
+    EXPECT_EQ(request.catalog.digest(), std::get<OptimizeRequest>(cold).catalog.digest());
+  }
+
+  // The counters travel in the status reply.
+  const Response reply = response_from_wire(response_to_wire(session.execute(StatusRequest{})));
+  const DocumentTableStats wired = std::get<StatusResponse>(reply).documents;
+  EXPECT_EQ(wired.hits, 4u);
+  EXPECT_EQ(wired.misses, 2u);
+  EXPECT_EQ(wired.entries, 2u);
+  EXPECT_EQ(wired.bytes, bytes);
+}
+
+TEST(Session, DocumentTableEvictsTheLeastRecentlyUsedText) {
+  const auto frame = [](const Documents& documents) {
+    OptimizeRequest request;
+    request.catalog = documents.catalog;
+    request.network = documents.network;
+    return request_to_wire(request).dump();
+  };
+  const Documents first = make_documents(12, 1);
+  const Documents second = make_documents(14, 2);
+  DocumentTable table(3, 1u << 20);
+  (void)request_from_frame(frame(first), &table);   // catalog 1, network 1
+  (void)request_from_frame(frame(second), &table);  // catalog 2, network 2: catalog 1 goes …
+  EXPECT_EQ(table.stats().evicted, 1u);
+  // … so network 1 is now the oldest; a hit makes network 2 the oldest.
+  OptimizeRequest hot;
+  hot.catalog = second.catalog;
+  hot.network = first.network;
+  (void)request_from_frame(request_to_wire(hot).dump(), &table);
+  EXPECT_EQ(table.stats().hits, 2u);
+  (void)request_from_frame(frame(first), &table);  // catalog 1 evicts network 2
+  const DocumentTableStats stats = table.stats();
+  EXPECT_EQ(stats.hits, 3u);    // network 1 survived
+  EXPECT_EQ(stats.misses, 5u);  // catalog 1 came back
+  EXPECT_EQ(stats.evicted, 2u);
+  (void)request_from_frame(frame(second), &table);
+  EXPECT_EQ(table.stats().misses, 6u);  // network 2 was the one evicted
+}
+
+TEST(Session, SharedDocumentTableDecodesExactlyUnderEviction) {
+  // Eight threads decode frames that share documents through a table
+  // that holds one text, so lookups, interning and eviction interleave.
+  const std::vector<Documents> deployments = {make_documents(12, 1), make_documents(14, 2),
+                                              make_documents(16, 3)};
+  std::vector<std::string> frames;
+  std::vector<std::vector<std::pair<std::string, runner::ArtifactKey>>> expected;
+  for (const Documents& documents : deployments) {
+    for (const char* solver : {"icm", "trws"}) {
+      const support::Json wire = request_to_wire(optimize_request(documents, solver));
+      for (const std::string& frame : {wire.dump(), wire.dump_pretty()}) {
+        const OptimizeRequest request = std::get<OptimizeRequest>(request_from_frame(frame));
+        frames.push_back(frame);
+        expected.push_back({{std::string(request.catalog.text()), request.catalog.digest()},
+                            {std::string(request.network.text()), request.network.digest()}});
+      }
+    }
+  }
+  DocumentTable table(1, 1u << 20);
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRounds = 40;
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t round = 0; round < kRounds; ++round) {
+        const std::size_t i = (t * 5 + round * 7) % frames.size();
+        const OptimizeRequest request =
+            std::get<OptimizeRequest>(request_from_frame(frames[i], &table));
+        const bool same = request.catalog.text() == expected[i][0].first &&
+                          request.catalog.digest() == expected[i][0].second &&
+                          request.network.text() == expected[i][1].first &&
+                          request.network.digest() == expected[i][1].second;
+        if (!same) ++mismatches;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0u);
+  const DocumentTableStats stats = table.stats();
+  EXPECT_EQ(stats.hits + stats.misses, 2 * kThreads * kRounds);
+  EXPECT_LE(stats.entries, 1u);
+  EXPECT_GT(stats.evicted, 0u);
+}
+
 TEST(Session, EvaluateIsCachedAndChecksHosts) {
   const Documents documents = make_documents();
   Session session;

@@ -1,4 +1,4 @@
-// Solver option paths: time limits, primal tracking, warm starts, the
+// Solver option paths: deadlines, primal tracking, warm starts, the
 // spanning-forest bound's guarantees across random instances, and the
 // message fixed-point replay.
 #include <gtest/gtest.h>
@@ -55,15 +55,18 @@ TEST(TrwsOptions, TrackBestPrimalOffStillReturnsPolishedLabels) {
   EXPECT_LE(on.energy, off.energy + 1e-9);
 }
 
-TEST(TrwsOptions, TimeLimitStopsEarly) {
+TEST(TrwsOptions, DeadlineStopsEarlyAndTruncates) {
   const Mrf mrf = random_instance(5, 60, 4, 0.3);
   SolveOptions options;
   options.max_iterations = 100000;
   options.tolerance = 0.0;  // never converge by tolerance
-  options.time_limit_seconds = 0.02;
+  options.cancel = support::CancelToken::after_ms(20);
   const SolveResult result = TrwsSolver().solve(mrf, options);
   EXPECT_LT(result.iterations, 100000u);
   EXPECT_LT(result.seconds, 2.0);
+  // A wall-clock stop is flagged, so no cache keeps it as the solve.
+  EXPECT_TRUE(result.truncated);
+  EXPECT_FALSE(result.converged);
   EXPECT_NEAR(mrf.energy(result.labels), result.energy, 1e-12);
 }
 

@@ -220,5 +220,18 @@ TEST(ScenarioEngine, KeyHasherSeparatesFieldsAndDomains) {
   EXPECT_TRUE(c1.key() == c2.key());
 }
 
+TEST(ScenarioEngine, SolveKeyIgnoresTheUnreadTimeLimitField) {
+  // No solver reads SolveOptions::time_limit_seconds (a wall-clock budget
+  // is a cancel deadline, whose result is truncated and never cached), so
+  // it must not split solves either.  Dropping it from the key also makes
+  // every solve record of a store written with it in the key a miss.
+  ScenarioSpec spec = shared_prefix_grid().expand().front();
+  const ArtifactKey plain = scenario_solve_key(spec);
+  spec.solve.time_limit_seconds = 0.5;
+  EXPECT_TRUE(scenario_solve_key(spec) == plain);
+  spec.solve.max_iterations += 1;
+  EXPECT_FALSE(scenario_solve_key(spec) == plain);
+}
+
 }  // namespace
 }  // namespace icsdiv::runner

@@ -3,7 +3,9 @@
 // with the same ParseError (message, line, column), report "canonical"
 // exactly when parse(text).dump() == text, and return the exact text of
 // each top-level member.  Inputs: the example grids, the wire encoding of
-// every request kind, and a deterministic mutation corpus over both.
+// every request kind, and a deterministic mutation corpus over both.  The
+// same corpus checks api::request_from_frame with a warm DocumentTable
+// against a cold one: interning never changes a Request or an error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +14,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
 #include "api/requests.hpp"
@@ -253,6 +256,140 @@ TEST(JsonScan, DeepNestingFailsIdentically) {
     (void)check(objects + "1" + std::string(depth, '}'));
   }
   EXPECT_THROW((void)Json::scan(std::string(100000, '[')), ParseError);
+}
+
+// ---------------------------------------------------------------------------
+// Decoding through a DocumentTable.
+
+/// What request_from_frame made of a frame: the error it threw, or the
+/// Request's wire form and each document's text and digest.
+struct Decoded {
+  std::string error;  ///< exception type and what()
+  std::size_t line = 0;
+  std::size_t column = 0;
+  std::string wire;
+  std::vector<std::pair<std::string, runner::ArtifactKey>> documents;
+
+  friend bool operator==(const Decoded&, const Decoded&) = default;
+};
+
+Decoded decode(const std::string& frame, api::DocumentTable* table) {
+  Decoded out;
+  try {
+    const api::Request request = api::request_from_frame(frame, table);
+    const auto add = [&out](const api::Document& document) {
+      out.documents.emplace_back(std::string(document.text()), document.digest());
+    };
+    std::visit(
+        [&](const auto& typed) {
+          if constexpr (requires { typed.catalog; }) add(typed.catalog);
+          if constexpr (requires { typed.network; }) add(typed.network);
+          if constexpr (requires { typed.assignment; }) add(typed.assignment);
+          if constexpr (requires { typed.feed; }) add(typed.feed);
+          if constexpr (requires { typed.grid; }) add(typed.grid);
+        },
+        request);
+    out.wire = api::request_to_wire(request).dump();
+  } catch (const ParseError& e) {
+    out = {std::string(typeid(e).name()) + e.what(), e.line(), e.column(), {}, {}};
+  } catch (const std::exception& e) {
+    out.error = std::string(typeid(e).name()) + e.what();
+  }
+  return out;
+}
+
+/// Decodes `frame` with no table, a cold one and `warm`; all must agree.
+void check_decode(const std::string& frame, api::DocumentTable& warm) {
+  const Decoded bare = decode(frame, nullptr);
+  api::DocumentTable cold(96, 32u << 20);
+  EXPECT_EQ(decode(frame, &cold), bare) << frame;
+  EXPECT_EQ(decode(frame, &warm), bare) << frame;
+}
+
+/// The corpus frames: every request kind, and a batch frame per example
+/// grid, each compact and pretty.
+std::vector<std::string> decode_frames() {
+  std::vector<std::string> frames = request_frames();
+  for (const std::string& text : example_grids()) {
+    api::BatchRequest batch;
+    batch.grid = Json::parse(text);
+    const Json wire = api::request_to_wire(batch);
+    frames.push_back(wire.dump());
+    frames.push_back(wire.dump_pretty());
+  }
+  return frames;
+}
+
+TEST(JsonScan, WarmDocumentTableDecodesLikeACold) {
+  const std::vector<std::string> frames = decode_frames();
+  api::DocumentTable warm(96, 32u << 20);
+  for (const std::string& frame : frames) (void)api::request_from_frame(frame, &warm);
+  const api::DocumentTableStats primed = warm.stats();
+  EXPECT_GT(primed.entries, 0u);
+  for (const std::string& frame : frames) {
+    check_decode(frame, warm);
+    for (const std::string& mutated : mutations(frame, 20)) check_decode(mutated, warm);
+  }
+  EXPECT_GT(warm.stats().hits, primed.hits);
+}
+
+TEST(JsonScan, DocumentTableVouchesOnlyForExactBytes) {
+  const std::vector<std::string> frames = request_frames();
+  const std::string& evaluate = frames[2];  // compact evaluate frame
+  api::DocumentTable warm(96, 32u << 20);
+  const api::Request request = api::request_from_frame(evaluate, &warm);
+  const std::string network(std::get<api::EvaluateRequest>(request).network.text());
+  const std::size_t at = evaluate.find(network);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(warm.stats().entries, 3u);
+
+  const auto with_network = [&](const std::string& value) {
+    return evaluate.substr(0, at) + value + evaluate.substr(at + network.size());
+  };
+  std::vector<std::string> hostile;
+  // The interned text with its last byte changed.
+  for (const char last : {']', ' ', '0', '"'}) {
+    hostile.push_back(with_network(network.substr(0, network.size() - 1) + last));
+  }
+  // Valid documents of the same length that differ from the interned
+  // one in a single digit, at positions spread over the whole text (so
+  // some fall between the bytes a fingerprint samples).
+  std::vector<std::size_t> digits;
+  for (std::size_t i = 0; i < network.size(); ++i) {
+    if (network[i] >= '0' && network[i] <= '9') digits.push_back(i);
+  }
+  ASSERT_FALSE(digits.empty());
+  std::string changed;
+  for (std::size_t k = 0; k < digits.size(); k += std::max<std::size_t>(1, digits.size() / 40)) {
+    changed = network;
+    changed[digits[k]] = changed[digits[k]] == '1' ? '2' : '1';
+    hostile.push_back(with_network(changed));
+  }
+  // The frame truncated inside the interned prefix, or right after it.
+  for (const std::size_t keep : {std::size_t{1}, network.size() / 2, network.size() - 1,
+                                 network.size()}) {
+    hostile.push_back(evaluate.substr(0, at + keep));
+  }
+  // Bytes after the interned text that the envelope grammar rejects.
+  hostile.push_back(with_network(network + "x"));
+  hostile.push_back(with_network(network + network));
+  // The interned text under a key that is not a document.
+  hostile.push_back(evaluate.substr(0, evaluate.size() - 1) + R"(,"entry":)" + network + "}");
+  for (const std::string& frame : hostile) check_decode(frame, warm);
+
+  // Scalars are never interned: a number does not end at its own last
+  // byte (`1` is a prefix of `12`).
+  api::DocumentTable scalars(96, 32u << 20);
+  (void)decode(R"({"request":"report","catalog":{},"network":[],"assignment":1})", &scalars);
+  EXPECT_EQ(scalars.stats().entries, 2u);
+  check_decode(R"({"request":"report","catalog":{},"network":[],"assignment":12})", scalars);
+
+  // A changed document is scanned in full: its own digest, not the
+  // interned one.
+  const Decoded decoded = decode(with_network(changed), &warm);
+  ASSERT_TRUE(decoded.error.empty()) << decoded.error;
+  EXPECT_EQ(decoded.documents[1].first, changed);
+  EXPECT_NE(decoded.documents[1].second, std::get<api::EvaluateRequest>(request).network.digest());
 }
 
 }  // namespace

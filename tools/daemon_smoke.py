@@ -7,13 +7,15 @@ no icsdiv code on this side.  Checks the version handshake, warm-cache
 optimize behaviour, error envelopes, batch parity with `icsdiv_cli batch`,
 the status counters, hostile frames (deep nesting, a 40k-key object),
 that a whitespace-padded frame hits the cache entry of its compact twin,
-and a clean SIGTERM drain.
+that frames repeating a document decode through the document table with
+replies byte-identical to a cold daemon's, and a clean SIGTERM drain.
 
 Usage: daemon_smoke.py ICSDIVD_BIN ICSDIV_CLI_BIN GRID_JSON
 """
 
 import json
 import os
+import re
 import signal
 import socket
 import struct
@@ -39,10 +41,14 @@ def recv_exact(sock, count: int) -> bytes:
     return data
 
 
-def call_text(sock, payload: str) -> dict:
+def call_raw(sock, payload: str) -> bytes:
     send_frame(sock, payload.encode())
     (length,) = struct.unpack(">I", recv_exact(sock, 4))
-    return json.loads(recv_exact(sock, length))
+    return recv_exact(sock, length)
+
+
+def call_text(sock, payload: str) -> dict:
+    return json.loads(call_raw(sock, payload))
 
 
 def call(sock, request: dict) -> dict:
@@ -114,21 +120,42 @@ def strip_volatile(value):
     return value
 
 
+def start_daemon(icsdivd: str, socket_path: str):
+    daemon = subprocess.Popen([icsdivd, "--socket", socket_path])
+    deadline = time.time() + 10.0
+    while not os.path.exists(socket_path):
+        expect(daemon.poll() is None, "daemon exited before binding")
+        expect(time.time() < deadline, "daemon never bound its socket")
+        time.sleep(0.05)
+    return daemon
+
+
+def connect(socket_path: str):
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.connect(socket_path)
+    return sock
+
+
+def stop_daemon(daemon) -> None:
+    if daemon.poll() is None:
+        daemon.kill()
+        daemon.wait()
+
+
+def without_solve_seconds(reply: bytes) -> bytes:
+    return re.sub(rb'"solve_seconds":[^,}]*,?', b"", reply)
+
+
 def main() -> int:
     icsdivd, icsdiv_cli, grid_path = sys.argv[1], sys.argv[2], sys.argv[3]
     workdir = tempfile.mkdtemp(prefix="icsdivd_smoke_")
     socket_path = os.path.join(workdir, "icsdivd.sock")
+    cold_socket_path = os.path.join(workdir, "icsdivd-cold.sock")
 
-    daemon = subprocess.Popen([icsdivd, "--socket", socket_path])
+    daemon = start_daemon(icsdivd, socket_path)
+    cold_daemon = None
     try:
-        deadline = time.time() + 10.0
-        while not os.path.exists(socket_path):
-            expect(daemon.poll() is None, "daemon exited before binding")
-            expect(time.time() < deadline, "daemon never bound its socket")
-            time.sleep(0.05)
-
-        sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-        sock.connect(socket_path)
+        sock = connect(socket_path)
 
         # --- Handshake.
         version = result_of(call(sock, {"icsdivd": PROTOCOL, "request": "version"}), "version")
@@ -202,6 +229,38 @@ def main() -> int:
         padded = result_of(call_text(sock, " " + json.dumps(twin, indent=4) + "\n"), "optimize")
         expect(not compact["cached"] and padded["cached"], "padded optimize missed the cache")
         expect(compact["assignment"] == padded["assignment"], "cached assignment differs")
+
+        # --- Repeated documents decode through the document table.  The
+        # catalog and network are already interned here; a cold daemon
+        # answers the same frames byte for byte (solve_seconds aside).
+        bp = dict(optimize, solver="bp")
+        evaluate = {"icsdivd": PROTOCOL, "request": "evaluate", "catalog": catalog,
+                    "network": network, "assignment": first["assignment"]}
+        frames = [json.dumps(bp, separators=(",", ":")),
+                  json.dumps(evaluate, separators=(",", ":")),
+                  json.dumps(bp, indent=2)]
+        status_request = json.dumps({"icsdivd": PROTOCOL, "request": "status"})
+        before = result_of(call_text(sock, status_request), "status")["documents"]
+        warm_replies = [call_raw(sock, frame) for frame in frames]
+        after = result_of(call_text(sock, status_request), "status")["documents"]
+        # bp: catalog + network; evaluate: those two (its assignment is new);
+        # the pretty bp frame: catalog + network again.
+        expect(after["hits"] - before["hits"] == 6, f"document hits {before} -> {after}")
+        expect(after["misses"] - before["misses"] == 1, f"document misses {before} -> {after}")
+        expect(after["entries"] >= 3 and after["bytes"] > 0, f"document table {after}")
+
+        cold_daemon = start_daemon(icsdivd, cold_socket_path)
+        cold_sock = connect(cold_socket_path)
+        cold_replies = [call_raw(cold_sock, frame) for frame in frames]
+        cold_documents = result_of(call_text(cold_sock, status_request), "status")["documents"]
+        cold_sock.close()
+        expect(cold_documents["misses"] == 3 and cold_documents["hits"] == 4,
+               f"cold daemon document counters: {cold_documents}")
+        for warm_reply, cold_reply in zip(warm_replies, cold_replies):
+            expect(without_solve_seconds(warm_reply) == without_solve_seconds(cold_reply),
+                   f"warm reply {warm_reply[:200]!r} differs from cold {cold_reply[:200]!r}")
+        cold_daemon.send_signal(signal.SIGTERM)
+        expect(cold_daemon.wait(timeout=30) == 0, f"cold daemon exited {cold_daemon.returncode}")
         sock.close()
 
         # --- SIGTERM must drain and exit 0, removing the socket file.
@@ -211,9 +270,9 @@ def main() -> int:
         print("daemon smoke ok:", json.dumps(strip_volatile(status)))
         return 0
     finally:
-        if daemon.poll() is None:
-            daemon.kill()
-            daemon.wait()
+        stop_daemon(daemon)
+        if cold_daemon is not None:
+            stop_daemon(cold_daemon)
 
 
 if __name__ == "__main__":
