@@ -338,14 +338,16 @@ void BM_WormTick(benchmark::State& state) {
 }
 BENCHMARK(BM_WormTick)->Apply(worm_scale_args);
 
-void BM_Mttc(benchmark::State& state) {
+/// Sequential MTTC on the worm-bench instance of `state.range(0)` hosts,
+/// `state.range(1)` runs, under `params`.
+void run_mttc_bench(benchmark::State& state, const sim::SimulationParams& sim_params) {
   bench::ScalabilityParams params;
   params.hosts = static_cast<std::size_t>(state.range(0));
   params.average_degree = 10.0;
   params.services = 3;
   const auto instance = bench::make_scalability_instance(params);
   const core::Assignment assignment = worm_bench_assignment(*instance.network);
-  const sim::WormSimulator simulator(assignment, sim::SimulationParams{});
+  const sim::WormSimulator simulator(assignment, sim_params);
   const auto target = static_cast<core::HostId>(params.hosts - 1);
   const auto runs = static_cast<std::size_t>(state.range(1));
   for (auto _ : state) {
@@ -354,11 +356,46 @@ void BM_Mttc(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(runs));
 }
+
+void BM_Mttc(benchmark::State& state) { run_mttc_bench(state, sim::SimulationParams{}); }
 void mttc_scale_args(benchmark::internal::Benchmark* bench) {
   bench->Args({500, 64})->Args({500, 256})->Args({12500, 16});
   if (bench::full_grid_requested()) bench->Args({100000, 4});
 }
 BENCHMARK(BM_Mttc)->Apply(mttc_scale_args);
+
+/// The Uniform attacker: conditional pick and accept draws per open link.
+void BM_MttcUniform(benchmark::State& state) {
+  sim::SimulationParams params;
+  params.strategy = sim::AttackerStrategy::Uniform;
+  run_mttc_bench(state, params);
+}
+BENCHMARK(BM_MttcUniform)->Args({500, 64});
+
+/// Sophisticated with the defender on: detection rolls every tick, and
+/// remediated hosts' links leave the attempt list.
+void BM_MttcDefender(benchmark::State& state) {
+  sim::SimulationParams params;
+  params.detection_probability = 0.05;
+  run_mttc_bench(state, params);
+}
+BENCHMARK(BM_MttcDefender)->Args({500, 64});
+
+/// MTTC as an evaluate request computes it: default parameters, 500 runs,
+/// on the evaluate-path instance's four pairs — run sequentially here.
+void BM_MttcEvaluate(benchmark::State& state) {
+  const EvaluatePathInstance instance =
+      make_evaluate_path_instance(static_cast<std::size_t>(state.range(0)));
+  const sim::WormSimulator simulator(instance.assignment, sim::SimulationParams{});
+  for (auto _ : state) {
+    for (const auto& [entry, target] : instance.pairs) {
+      benchmark::DoNotOptimize(simulator.mttc(entry, target, 500, /*seed=*/1, /*parallel=*/false));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(instance.pairs.size()));
+}
+BENCHMARK(BM_MttcEvaluate)->Arg(2000)->Unit(benchmark::kMillisecond);
 
 /// One solve cell of the end-to-end `solve_large` workload: TRW-S over the
 /// decomposed, unpinned problem of a 6000-host network (degree 16, 4

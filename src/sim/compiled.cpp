@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "sim/kernels.hpp"
 #include "support/bytes.hpp"
@@ -13,13 +14,33 @@ namespace icsdiv::sim {
 
 using support::acceptance_threshold;
 
-void SimState::begin_run(std::size_t host_count, core::HostId entry_host) {
-  const std::size_t word_count = support::simd::bitset_words(host_count);
-  if (marked.size() != word_count) {
-    marked.assign(word_count, 0);
+namespace {
+
+void clear_bits(std::vector<std::uint32_t>& bits, std::size_t word_count) {
+  if (bits.size() != word_count) {
+    bits.assign(word_count, 0);
   } else {
-    std::fill(marked.begin(), marked.end(), 0);
+    std::fill(bits.begin(), bits.end(), 0);
   }
+}
+
+/// True when `offsets` (non-empty) is a prefix-offset index over `size`
+/// items: it starts at 0, never decreases and ends at `size`.
+bool indexes(const std::vector<std::uint32_t>& offsets, std::size_t size) {
+  return offsets.front() == 0 && offsets.back() == size &&
+         std::is_sorted(offsets.begin(), offsets.end());
+}
+
+}  // namespace
+
+void SimState::begin_run(std::size_t host_count, std::size_t link_count, bool defender,
+                         core::HostId entry_host) {
+  const std::size_t word_count = support::simd::bitset_words(host_count);
+  clear_bits(marked, word_count);
+  if (defender) clear_bits(remediated, word_count);
+  if (attempts.size() < link_count) attempts.resize(link_count);
+  if (fresh.size() < link_count) fresh.resize(link_count);
+  attempt_count = 0;
   active.clear();
   ever_infected = 0;
   entry = entry_host;
@@ -43,10 +64,7 @@ PropagationChannels::PropagationChannels(const core::Assignment& assignment,
     ++offsets_[link.u + 1];
     ++offsets_[link.v + 1];
   }
-  for (std::size_t h = 0; h < host_count_; ++h) {
-    offsets_[h + 1] += offsets_[h];
-    max_degree_ = std::max<std::size_t>(max_degree_, offsets_[h + 1] - offsets_[h]);
-  }
+  for (std::size_t h = 0; h < host_count_; ++h) offsets_[h + 1] += offsets_[h];
 
   const std::size_t link_count = offsets_[host_count_];
   link_to_.resize(link_count);
@@ -85,6 +103,15 @@ PropagationChannels::PropagationChannels(const core::Assignment& assignment,
     }
   }
   pick_begin_[link_count] = static_cast<std::uint32_t>(pick_pool_.size());
+  index_link_sources();
+}
+
+void PropagationChannels::index_link_sources() {
+  link_from_.resize(link_to_.size());
+  for (std::size_t h = 0; h < host_count_; ++h) {
+    std::fill(link_from_.begin() + offsets_[h], link_from_.begin() + offsets_[h + 1],
+              static_cast<core::HostId>(h));
+  }
 }
 
 std::string PropagationChannels::serialize() const {
@@ -93,7 +120,12 @@ std::string PropagationChannels::serialize() const {
   writer.f64(model_.similarity_weight);
   writer.boolean(model_.consider_similarity);
   writer.u64(host_count_);
-  writer.u64(max_degree_);
+  // The record keeps the maximum degree, which nothing reads back any more.
+  std::uint64_t max_degree = 0;
+  for (std::size_t h = 0; h < host_count_; ++h) {
+    max_degree = std::max<std::uint64_t>(max_degree, offsets_[h + 1] - offsets_[h]);
+  }
+  writer.u64(max_degree);
   writer.u32_span(offsets_);
   writer.u32_span(link_to_);
   writer.u64_span(link_best_threshold_);
@@ -109,7 +141,7 @@ PropagationChannels PropagationChannels::deserialize(std::string_view data) {
   channels.model_.similarity_weight = reader.f64();
   channels.model_.consider_similarity = reader.boolean();
   channels.host_count_ = reader.u64();
-  channels.max_degree_ = reader.u64();
+  static_cast<void>(reader.u64());  // the maximum degree (see serialize())
   channels.offsets_ = reader.u32_span<std::uint32_t>();
   channels.link_to_ = reader.u32_span<core::HostId>();
   channels.link_best_threshold_ = reader.u64_span();
@@ -122,6 +154,15 @@ PropagationChannels PropagationChannels::deserialize(std::string_view data) {
           "PropagationChannels::deserialize", "pick table size mismatch");
   require(channels.link_best_threshold_.size() == channels.link_to_.size(),
           "PropagationChannels::deserialize", "threshold table size mismatch");
+  // The tick indexes the mark bitsets and the tables with these values
+  // unchecked, so a record that breaks them must not load.
+  require(indexes(channels.offsets_, channels.link_to_.size()) &&
+              indexes(channels.pick_begin_, channels.pick_pool_.size()),
+          "PropagationChannels::deserialize", "offset table is not an index of its pool");
+  require(std::all_of(channels.link_to_.begin(), channels.link_to_.end(),
+                      [&](core::HostId to) { return to < channels.host_count_; }),
+          "PropagationChannels::deserialize", "link target out of range");
+  channels.index_link_sources();
   return channels;
 }
 
@@ -155,104 +196,93 @@ CompiledPropagation::CompiledPropagation(std::shared_ptr<const PropagationChanne
               compiled.consider_similarity == params_.model.consider_similarity,
           "CompiledPropagation", "params.model differs from the shared channels' model");
   validate_run_params(params_);
+  defender_ = params_.detection_probability > 0.0;
   has_silent_ = params_.silent_probability > 0.0;
   silent_threshold_ = acceptance_threshold(params_.silent_probability);
   detection_threshold_ = acceptance_threshold(params_.detection_probability);
 }
 
-bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rng& rng,
+bool CompiledPropagation::tick(SimState& state, core::HostId target, support::Rng& caller_rng,
                                bool& dead) const {
   const PropagationChannels& ch = *channels_;
-  const support::simd::Kernels& k = support::simd::kernels();
-  const bool sophisticated = params_.strategy == AttackerStrategy::Sophisticated;
-  // With the defender off, a host whose neighbours are all marked can
-  // never draw from the RNG again (susceptibility only shrinks), so the
-  // scan may drop it with a bit-identical stream.  With the defender on,
-  // `active` is also the detection-roll list and must stay complete.
-  const bool prune = params_.detection_probability == 0.0;
-  if (state.gather.size() < ch.max_degree_) state.gather.resize(ch.max_degree_);
-  if (state.words.size() < ch.max_degree_) state.words.resize(ch.max_degree_);
-  if (state.fresh.size() < ch.link_to_.size()) state.fresh.resize(ch.link_to_.size());
-  std::uint32_t* const marks = state.marked.data();
-  std::uint32_t* const gather = state.gather.data();
-  std::uint64_t* const words = state.words.data();
+  // A local copy keeps the generator state in registers through the loops
+  // (stores through the caller's reference may alias the u64 threshold
+  // tables as far as the compiler knows).
+  support::Rng rng = caller_rng;
+  std::uint32_t* const attempts = state.attempts.data();
+  const std::uint32_t* const link_to = ch.link_to_.data();
   core::HostId* const fresh = state.fresh.data();
-  std::size_t fresh_count = 0;
-  bool any_susceptible = false;
+  // Compact: what is left is exactly this tick's per-attacker frontiers,
+  // joined in infection order (see the header).
+  const std::size_t open =
+      defender_ ? kernels::compact_attempts<true>(attempts, state.attempt_count, link_to,
+                                                  ch.link_from_.data(), state.marked.data(),
+                                                  state.remediated.data())
+                : kernels::compact_attempts<false>(attempts, state.attempt_count, link_to,
+                                                   nullptr, state.marked.data(), nullptr);
+  state.attempt_count = open;
   // Synchronous update: infections land after all of this tick's attempts,
   // so iteration order cannot bias the dynamics.
-  const std::size_t attacker_count = state.active.size();
-  std::size_t kept = 0;
-  for (std::size_t a = 0; a < attacker_count; ++a) {
-    const core::HostId attacker = state.active[a];
-    const std::uint32_t begin = ch.offsets_[attacker];
-    const std::uint32_t end = ch.offsets_[attacker + 1];
-    // Phase 1: compaction of this attacker's susceptible links over the
-    // mark bitset (the test is data-random; a branch here mispredicts
-    // constantly — the kernel tests and packs whole lane-groups at once).
-    const std::size_t frontier =
-        kernels::gather_frontier(k, ch.link_to_.data(), begin, end, marks, gather);
-    if (frontier == 0) continue;  // saturated (this tick): no draws either way
-    any_susceptible = true;
-    if (prune) state.active[kept++] = attacker;
-    if (sophisticated) {
-      // Phase 2: one acceptance draw per gathered link, buffered in CSR
-      // link order — exactly the attempts the seed-era fused loop made,
-      // in its order — then a wide threshold compare; successes compact
-      // into `fresh` (a success is too rare to predict, too common to
-      // eat the mispredict).
-      fresh_count +=
-          kernels::accept_frontier(k, rng, gather, frontier, ch.link_to_.data(),
-                                   ch.link_best_threshold_.data(), words, fresh + fresh_count);
-    } else {
-      // Uniform attacker: the silent roll and the exploit pick are
-      // *conditional* draws — whether a word is consumed depends on the
-      // previous word — so this path cannot batch without changing the
-      // stream.  It stays serial, branchless on the success compaction.
-      for (std::size_t i = 0; i < frontier; ++i) {
-        const std::uint32_t l = gather[i];
-        // Uniform choice among the feasible exploits (baseline included),
-        // optionally staying silent.
-        if (has_silent_ && (rng() >> 11) < silent_threshold_) continue;
-        const std::uint32_t picks = ch.pick_begin_[l];
-        const std::uint64_t threshold =
-            ch.pick_pool_[picks + rng.index(ch.pick_begin_[l + 1] - picks)];
-        fresh[fresh_count] = ch.link_to_[l];
-        fresh_count += (rng() >> 11) < threshold ? 1 : 0;
-      }
+  std::size_t fresh_count = 0;
+  if (params_.strategy == AttackerStrategy::Sophisticated) {
+    fresh_count = kernels::draw_sophisticated(rng, attempts, open, link_to,
+                                              ch.link_best_threshold_.data(), fresh);
+  } else {
+    // Uniform attacker: the silent roll and the exploit pick are
+    // *conditional* draws — whether a word is consumed depends on the
+    // previous word — so this loop stays serial, branchless only on the
+    // success compaction.
+    for (std::size_t i = 0; i < open; ++i) {
+      const std::uint32_t l = attempts[i];
+      if (has_silent_ && (rng() >> 11) < silent_threshold_) continue;
+      const std::uint32_t picks = ch.pick_begin_[l];
+      const std::uint64_t threshold =
+          ch.pick_pool_[picks + rng.index(ch.pick_begin_[l + 1] - picks)];
+      fresh[fresh_count] = link_to[l];
+      fresh_count += (rng() >> 11) < threshold ? 1 : 0;
     }
   }
-  if (prune) state.active.resize(kept);
   bool hit_target = false;
   for (std::size_t f = 0; f < fresh_count; ++f) {
     const core::HostId host = fresh[f];
-    if (!support::simd::bit_test(marks, host)) {
-      support::simd::bit_set(marks, host);
-      state.active.push_back(host);
-      ++state.ever_infected;
+    if (!support::simd::bit_test(state.marked.data(), host)) {
+      infect(state, host);
       hit_target = hit_target || host == target;
     }
   }
-  // Defender pass: detected hosts are remediated and become immune.  The
-  // entry foothold is assumed to persist (the attacker controls it through
-  // an out-of-band channel).  Remediated hosts stay marked — they are no
-  // longer infectious, but not susceptible either.
-  if (params_.detection_probability > 0.0) {
+  // Defender pass: detected hosts are remediated and become immune; the
+  // next compaction drops their links.  The entry foothold is assumed to
+  // persist (the attacker controls it through an out-of-band channel).
+  // Remediated hosts stay marked — no longer infectious, but not
+  // susceptible either.
+  if (defender_) {
     std::erase_if(state.active, [&](core::HostId host) {
-      return host != state.entry && (rng() >> 11) < detection_threshold_;
+      const bool detected = host != state.entry && (rng() >> 11) < detection_threshold_;
+      if (detected) support::simd::bit_set(state.remediated.data(), host);
+      return detected;
     });
   }
-  // No susceptible neighbour anywhere ⇒ nothing can ever change again
-  // (remediation only shrinks the susceptible set).
-  dead = !any_susceptible;
+  // No open link anywhere ⇒ nothing can ever change again (remediation
+  // only shrinks the susceptible set).
+  dead = open == 0;
+  caller_rng = rng;
   return hit_target;
 }
 
+void CompiledPropagation::infect(SimState& state, core::HostId host) const {
+  support::simd::bit_set(state.marked.data(), host);
+  ++state.ever_infected;
+  const std::uint32_t begin = channels_->offsets_[host];
+  const std::uint32_t end = channels_->offsets_[host + 1];
+  std::uint32_t* const tail = state.attempts.data() + state.attempt_count;
+  std::iota(tail, tail + (end - begin), begin);
+  state.attempt_count += end - begin;
+  if (defender_) state.active.push_back(host);
+}
+
 void CompiledPropagation::start_run(SimState& state, core::HostId entry) const {
-  state.begin_run(host_count(), entry);
-  support::simd::bit_set(state.marked.data(), entry);
-  state.active.push_back(entry);
-  state.ever_infected = 1;
+  state.begin_run(host_count(), link_count(), defender_, entry);
+  infect(state, entry);
 }
 
 RunResult CompiledPropagation::run_once(core::HostId entry, core::HostId target,
@@ -300,7 +330,7 @@ std::vector<std::size_t> CompiledPropagation::epidemic_curve(core::HostId entry,
   constexpr core::HostId kNoTarget = static_cast<core::HostId>(-1);
   // No dead-state exit here: the curve has a fixed length, and ticking on
   // keeps the caller-visible RNG stream identical to the seed-era code
-  // (a dead tick draws nothing).
+  // (a dead tick draws only the defender's detection rolls).
   for (std::size_t t = 0; t < ticks; ++t) {
     bool dead = false;
     tick(state, kNoTarget, rng, dead);

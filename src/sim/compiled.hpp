@@ -29,37 +29,42 @@
 //     baseline-vs-channel split.
 //   * Per-link best table — the Sophisticated attacker's
 //     `max(p_avg, channels...)` is precomputed per directed link.
+//   * Per-link source — `link_from_`, derived from the offsets whenever the
+//     tables are built or loaded (never serialised); the defender's
+//     compaction reads it.
 //
-// The tick scan is two phases per attacker: a branchless gather of the
-// susceptible link indices over the host-mark bitset (SIMD
-// gather-and-compact via sim/kernels.hpp — the susceptibility test is
-// data-random and would otherwise mispredict on every other neighbour),
-// then the RNG draws over the gathered frontier in CSR order: the words
-// are drawn serially (the stream cannot be vectorised without changing
-// results) and the threshold compare + success compaction go wide.
-// Marks only change after all attackers scanned (synchronous update), so
-// gather-then-draw sees exactly the state the seed-era fused loop saw
-// and consumes the RNG identically.
+// The tick runs over a flat *attempt list* kept in SimState: the open
+// links of every attacking host, in the order the draws happen.
+//
+//   * Append — when a host is infected, all of its links go on the end of
+//     the list in CSR order (the entry's go in at start_run).
+//   * Compact — once per tick, one branchless pass drops every link whose
+//     target is marked and, with the defender on, every link whose source
+//     has been remediated.  Both drops are permanent: marks and
+//     remediation only grow.
+//   * Draw — one tight loop over the compacted list.  Sophisticated makes
+//     one word and one compare per link; Uniform keeps its conditional
+//     silent/pick/accept draws.
+//
+// Why this is the seed-era stream bit for bit: marks change only at the
+// end of a tick (synchronous update).  The attacking hosts are in
+// infection order, and they only ever lose members, in order.  So the
+// compacted list is exactly the per-attacker frontiers the seed-era loop
+// scanned (each attacker's susceptible links in CSR order), joined in
+// attacker order, and every RNG word is consumed where it was before.
+// A tick whose compacted list is empty ends the run (`RunResult::extinct`):
+// no attacker has a susceptible neighbour, so nothing can change again.
+// Censoring fields are unchanged (`ticks` still reports the horizon).
 //
 // Per-run state lives in a reusable SimState: one mark *bit* per host
 // (a run boundary is a word-parallel clear of host_count/32 words —
 // 12.5 KB at 100k hosts, L1-resident during the scan).  A single mark
 // covers both "infected" and "remediated" — every reader only ever asks
-// "still susceptible?", which both states answer the same way.  `mttc()`
-// is an allocation-free chunked parallel loop over the historical
-// per-run splitmix64 streams.
-//
-// Two exits spare the seed-era busy-spin to `max_ticks`:
-//
-//   * Saturation pruning (defender off only): a host whose neighbours are
-//     all non-susceptible can never contribute an RNG draw again —
-//     susceptibility only shrinks — so it is dropped from the active scan
-//     with zero effect on the draw sequence.  With a defender the active
-//     list doubles as the detection-roll list, so it is left intact.
-//   * Dead-state detection: a tick in which no active host saw a
-//     susceptible neighbour ends the run (`RunResult::extinct`) — a
-//     walled-off or fully-remediated worm terminates immediately.
-//     Censoring fields are unchanged (`ticks` still reports the horizon).
+// "still susceptible?", which both states answer the same way.  The
+// active-host list is kept only with the defender on, where it is the
+// detection-roll list; a second bitset records remediated hosts for the
+// compaction.  `mttc()` is an allocation-free chunked parallel loop over
+// the historical per-run splitmix64 streams.
 //
 // The adjacency and threshold pools depend only on (assignment, model) —
 // not on the attacker strategy, the detection probability or the horizon —
@@ -146,23 +151,28 @@ struct MttcResult {
 struct SimState {
   /// Host-mark bitset (support::simd bit helpers): bit set ⇔ the host was
   /// infected this run (and possibly remediated since) — i.e. no longer
-  /// susceptible.  One bit per host instead of the earlier epoch-stamped
-  /// u32: a 100k-host network's marks fit in 12.5 KB (L1-resident for the
-  /// tick scan, and gatherable eight hosts per vector lane-load).
+  /// susceptible.  A 100k-host network's marks fit in 12.5 KB.
   std::vector<std::uint32_t> marked;
+  /// Defender only: bit set ⇔ the host was remediated this run.
+  std::vector<std::uint32_t> remediated;
+  /// Defender only: the attacking (infected, not remediated) hosts in
+  /// infection order — the detection-roll list.
   std::vector<core::HostId> active;
+  /// The attempt list: open links of the attacking hosts in draw order.
+  /// Sized to the link count (a link is appended at most once per run);
+  /// the logical length is `attempt_count`.
+  std::vector<std::uint32_t> attempts;
+  std::size_t attempt_count = 0;
   /// Scratch for this tick's new infections (sized to the link count; the
   /// logical length lives inside the tick).
   std::vector<core::HostId> fresh;
-  std::vector<std::uint32_t> gather;  ///< scratch: one attacker's frontier links
-  std::vector<std::uint64_t> words;   ///< scratch: buffered acceptance draws
   std::size_t ever_infected = 0;
   core::HostId entry = 0;
 
-  /// Starts a run: clears the mark bitset (word-parallel — at one bit per
-  /// host this is cheaper than the old epoch bookkeeping ever was) and
-  /// resets the lists.
-  void begin_run(std::size_t host_count, core::HostId entry_host);
+  /// Starts a run: clears the bitsets (word-parallel; `remediated` only
+  /// when `defender`), sizes the link-indexed lists and resets the rest.
+  void begin_run(std::size_t host_count, std::size_t link_count, bool defender,
+                 core::HostId entry_host);
 };
 
 /// The strategy-independent half of a compiled propagation: CSR adjacency
@@ -195,11 +205,15 @@ class PropagationChannels {
 
   PropagationChannels() = default;  ///< deserialize() fills the fields
 
+  /// Derives `link_from_` from `offsets_` (construction and deserialize;
+  /// the source array is never serialised).
+  void index_link_sources();
+
   bayes::PropagationModel model_;
   std::size_t host_count_ = 0;
-  std::size_t max_degree_ = 0;
   std::vector<std::uint32_t> offsets_;  ///< host_count+1 CSR offsets
   std::vector<core::HostId> link_to_;   ///< per directed link
+  std::vector<core::HostId> link_from_;  ///< per directed link: its source
   /// ceil(max(p_avg, channels)·2^53) per link — Sophisticated's draw.
   std::vector<std::uint64_t> link_best_threshold_;
   std::vector<std::uint32_t> pick_begin_;  ///< E+1 offsets into pick_pool_
@@ -247,15 +261,19 @@ class CompiledPropagation {
                                 std::size_t threads = 0) const;
 
  private:
-  /// Starts a run on this substrate: epoch bump, entry marked and active.
+  /// Starts a run on this substrate: state cleared, entry infected.
   void start_run(SimState& state, core::HostId entry) const;
 
+  /// Marks `host` infected and appends its links to the attempt list.
+  void infect(SimState& state, core::HostId host) const;
+
   /// Advances one tick; returns true when the target was infected.  Sets
-  /// `dead` when no active host saw a susceptible neighbour this tick.
+  /// `dead` when the compacted attempt list was empty this tick.
   bool tick(SimState& state, core::HostId target, support::Rng& rng, bool& dead) const;
 
   SimulationParams params_;
   std::shared_ptr<const PropagationChannels> channels_;
+  bool defender_ = false;  ///< detection_probability > 0
   bool has_silent_ = false;  ///< gates the silent draw (a 0-probability
                              ///< threshold must not consume an RNG step)
   std::uint64_t silent_threshold_ = 0;

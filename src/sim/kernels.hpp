@@ -1,16 +1,11 @@
-// Worm-simulator tick kernels on top of the portable SIMD layer
-// (DESIGN.md §14).  The tick's two phases — gather an attacker's
-// susceptible links over the host-mark bitset, then roll the Bernoulli
-// acceptance for each gathered link — are expressed here through the
-// support::simd::Kernels table.  No raw intrinsics (lint rule
-// `raw-intrinsics`).
+// Worm-simulator tick loops over the flat attempt list (sim/compiled.hpp):
+// the once-per-tick compaction and the Sophisticated attacker's draw.
+// Both are plain scalar loops — the list is built so that neither needs
+// a per-attacker call or a data-dependent branch.
 //
-// RNG discipline: the xoshiro stream is inherently serial, so the draws
-// can never be vectorised without changing results.  accept_frontier()
-// therefore materialises the raw acceptance words first, one rng() step
-// per gathered link in CSR order — exactly the words the seed-era fused
-// loop consumed, in its order — and only the drawless compare-and-compact
-// over the buffered words goes wide.
+// RNG discipline: the xoshiro stream is inherently serial, so the draw
+// consumes one rng() step per open link in list order — exactly the words
+// the seed-era per-attacker loop consumed, in its order.
 #pragma once
 
 #include <cstdint>
@@ -20,57 +15,41 @@
 
 namespace icsdiv::sim::kernels {
 
-/// Below this size the fused serial loop wins: the wide path costs an
-/// indirect call, a scratch round-trip, and lane setup, which a
-/// degree-16 frontier never amortises.  Either path produces identical
-/// output (the compaction is a pure function of its inputs), so the
-/// cutoff affects speed only — never results or the RNG stream.
-inline constexpr std::size_t kWideCutoff = 32;
-
-/// Phase 1: compacts the susceptible links of [begin, end) into `gather`
-/// (absolute link indices, ascending), testing each link's target bit in
-/// the `marked_bits` bitset.  Returns the frontier size.  `gather` needs
-/// end-begin writable slots.
-inline std::size_t gather_frontier(const support::simd::Kernels& k, const std::uint32_t* link_to,
-                                   std::uint32_t begin, std::uint32_t end,
-                                   const std::uint32_t* marked_bits, std::uint32_t* gather) {
-  const std::size_t n = end - begin;
-  if (n < kWideCutoff) {
-    // Inlined branchless compaction (the scalar kernel's exact loop —
-    // the mark test is data-random mid-epidemic, so a skip branch here
-    // mispredicts constantly); small frontiers only skip the indirect
-    // call and lane setup of the wide path.
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      gather[count] = begin + static_cast<std::uint32_t>(i);
-      count += support::simd::bit_test(marked_bits, link_to[begin + i]) ? 0u : 1u;
-    }
-    return count;
+/// Drops, in place and in order, every attempt whose target is marked
+/// and, when `kDefender`, every attempt whose source is remediated.
+/// Returns the number kept.  Branchless: the mark test is data-random
+/// mid-epidemic, and a branchy skip loop mispredicts on it constantly.
+template <bool kDefender>
+inline std::size_t compact_attempts(std::uint32_t* attempts, std::size_t count,
+                                    const std::uint32_t* link_to, const std::uint32_t* link_from,
+                                    const std::uint32_t* marked_bits,
+                                    const std::uint32_t* remediated_bits) {
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t link = attempts[i];
+    attempts[kept] = link;
+    bool open = !support::simd::bit_test(marked_bits, link_to[link]);
+    if constexpr (kDefender) open &= !support::simd::bit_test(remediated_bits, link_from[link]);
+    kept += open ? 1u : 0u;
   }
-  return k.gather_unset(link_to + begin, n, marked_bits, begin, gather);
+  return kept;
 }
 
-/// Phase 2 (Sophisticated attacker): one acceptance draw per gathered
-/// link, buffered serially into `words` in frontier order, then a wide
-/// compare against each link's precompiled threshold; accepted targets
-/// compact into `fresh`.  Returns the number of fresh infections.
-/// `words` needs `frontier` slots and `fresh` needs `frontier` slots.
-inline std::size_t accept_frontier(const support::simd::Kernels& k, support::Rng& rng,
-                                   const std::uint32_t* gather, std::size_t frontier,
-                                   const std::uint32_t* link_to, const std::uint64_t* thresholds,
-                                   std::uint64_t* words, std::uint32_t* fresh) {
-  if (frontier < kWideCutoff) {
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < frontier; ++i) {
-      const std::uint32_t link = gather[i];
-      const std::uint64_t word = rng() >> 11;
-      fresh[count] = link_to[link];
-      count += word < thresholds[link] ? 1u : 0u;
-    }
-    return count;
+/// Sophisticated attacker: one acceptance word and one compare per open
+/// link; accepted targets compact into `fresh` (a success is too rare to
+/// predict, too common to eat the mispredict).  Returns the number of
+/// fresh infections; `fresh` needs `count` slots.
+inline std::size_t draw_sophisticated(support::Rng& rng, const std::uint32_t* attempts,
+                                      std::size_t count, const std::uint32_t* link_to,
+                                      const std::uint64_t* thresholds, std::uint32_t* fresh) {
+  std::size_t accepted = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint32_t link = attempts[i];
+    const std::uint64_t word = rng() >> 11;
+    fresh[accepted] = link_to[link];
+    accepted += word < thresholds[link] ? 1u : 0u;
   }
-  for (std::size_t i = 0; i < frontier; ++i) words[i] = rng() >> 11;
-  return k.accept_indexed(gather, frontier, link_to, thresholds, words, fresh);
+  return accepted;
 }
 
 }  // namespace icsdiv::sim::kernels

@@ -20,9 +20,10 @@
 // until the target falls over many runs (the paper uses 1 000).
 //
 // The dynamics run on sim::CompiledPropagation (see compiled.hpp): a CSR
-// adjacency with flat per-link channel tables and reusable epoch-stamped
-// run state.  This class is the convenient facade — it owns the compiled
-// substrate and provides allocating wrappers for one-off runs.
+// adjacency with flat per-link channel tables and reusable per-run state
+// (a host-mark bitset and the attempt list).  This class is the
+// convenient facade — it owns the compiled substrate and provides
+// allocating wrappers for one-off runs.
 #pragma once
 
 #include "sim/compiled.hpp"

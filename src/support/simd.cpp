@@ -138,28 +138,6 @@ double min_convolve2_scalar(double* out, const double* rows, double s, const dou
   return min_value_scalar(out, out_count);
 }
 
-std::size_t gather_unset_scalar(const std::uint32_t* to, std::size_t n, const std::uint32_t* bits,
-                                std::uint32_t base, std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    out[count] = base + static_cast<std::uint32_t>(i);
-    count += bit_test(bits, to[i]) ? 0u : 1u;
-  }
-  return count;
-}
-
-std::size_t accept_indexed_scalar(const std::uint32_t* idx, std::size_t n, const std::uint32_t* to,
-                                  const std::uint64_t* threshold, const std::uint64_t* words,
-                                  std::uint32_t* out) {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t link = idx[i];
-    out[count] = to[link];
-    count += words[i] < threshold[link] ? 1u : 0u;
-  }
-  return count;
-}
-
 std::size_t fire_record_scalar(const std::uint64_t* words, const std::uint64_t* threshold,
                                const std::uint32_t* to, std::size_t n, std::uint64_t baseline,
                                std::uint32_t* out) {
@@ -175,8 +153,7 @@ std::size_t fire_record_scalar(const std::uint64_t* words, const std::uint64_t* 
 constexpr Kernels kScalarTable = {
     add_scalar,          min_value_scalar,      sub_scalar_scalar,  damp_update_scalar,
     fold_chord_scalar,   fold_tree_cm_scalar,   fold_tree_mc_scalar, sum_rows_scalar,
-    joint_block_scalar,  min_convolve2_scalar,  gather_unset_scalar, accept_indexed_scalar,
-    fire_record_scalar,
+    joint_block_scalar,  min_convolve2_scalar,  fire_record_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -186,28 +163,6 @@ constexpr Kernels kScalarTable = {
 #if defined(ICSDIV_SIMD_AVX2)
 
 #define ICSDIV_AVX2 __attribute__((target("avx2")))
-
-// Lane-compaction LUT: perm[mask] is the vpermd control moving the set
-// lanes of an 8-bit mask to the front, in ascending lane order.
-struct Compress8Table {
-  std::uint32_t perm[256][8];
-};
-
-constexpr Compress8Table make_compress8_table() {
-  Compress8Table table{};
-  for (int mask = 0; mask < 256; ++mask) {
-    int packed = 0;
-    for (int lane = 0; lane < 8; ++lane) {
-      if ((mask & (1 << lane)) != 0) {
-        table.perm[mask][packed++] = static_cast<std::uint32_t>(lane);
-      }
-    }
-    for (; packed < 8; ++packed) table.perm[mask][packed] = 0;
-  }
-  return table;
-}
-
-constexpr Compress8Table kCompress8 = make_compress8_table();
 
 ICSDIV_AVX2 void add_avx2(double* dst, const double* src, std::size_t n) {
   std::size_t i = 0;
@@ -338,71 +293,6 @@ ICSDIV_AVX2 double fold_tree_mc_avx2(const double* d, const double* row, const d
   return m + 0.0;
 }
 
-ICSDIV_AVX2 std::size_t gather_unset_avx2(const std::uint32_t* to, std::size_t n,
-                                          const std::uint32_t* bits, std::uint32_t base,
-                                          std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  const __m256i kOne = _mm256_set1_epi32(1);
-  const __m256i kLane = _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7);
-  const __m256i kMask31 = _mm256_set1_epi32(31);
-  for (; i + 8 <= n; i += 8) {
-    const __m256i vto = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(to + i));
-    const __m256i words =
-        _mm256_i32gather_epi32(reinterpret_cast<const int*>(bits), _mm256_srli_epi32(vto, 5), 4);
-    const __m256i bit =
-        _mm256_and_si256(_mm256_srlv_epi32(words, _mm256_and_si256(vto, kMask31)), kOne);
-    const __m256i unset = _mm256_cmpeq_epi32(bit, _mm256_setzero_si256());
-    const unsigned mask =
-        static_cast<unsigned>(_mm256_movemask_ps(_mm256_castsi256_ps(unset))) & 0xFFu;
-    const __m256i ids = _mm256_add_epi32(_mm256_set1_epi32(static_cast<int>(base + i)), kLane);
-    const __m256i control =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(kCompress8.perm[mask]));
-    // Writes a full 8-lane block at out+count; count <= i here, so the
-    // store stays inside out[0..n) — callers size `out` to n.
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + count),
-                        _mm256_permutevar8x32_epi32(ids, control));
-    count += static_cast<std::size_t>(__builtin_popcount(mask));
-  }
-  for (; i < n; ++i) {
-    out[count] = base + static_cast<std::uint32_t>(i);
-    count += bit_test(bits, to[i]) ? 0u : 1u;
-  }
-  return count;
-}
-
-ICSDIV_AVX2 std::size_t accept_indexed_avx2(const std::uint32_t* idx, std::size_t n,
-                                            const std::uint32_t* to,
-                                            const std::uint64_t* threshold,
-                                            const std::uint64_t* words, std::uint32_t* out) {
-  std::size_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i vidx = _mm_loadu_si128(reinterpret_cast<const __m128i*>(idx + i));
-    // Thresholds and RNG words are < 2^53, so the signed 64-bit compare
-    // is exact.
-    const __m256i vthr =
-        _mm256_i32gather_epi64(reinterpret_cast<const long long*>(threshold), vidx, 8);
-    const __m256i vwords = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(words + i));
-    unsigned mask = static_cast<unsigned>(
-                        _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(vthr, vwords)))) &
-                    0xFu;
-    alignas(16) std::uint32_t targets[4];
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(targets),
-                     _mm_i32gather_epi32(reinterpret_cast<const int*>(to), vidx, 4));
-    while (mask != 0) {
-      out[count++] = targets[static_cast<unsigned>(__builtin_ctz(mask))];
-      mask &= mask - 1;
-    }
-  }
-  for (; i < n; ++i) {
-    const std::uint32_t link = idx[i];
-    out[count] = to[link];
-    count += words[i] < threshold[link] ? 1u : 0u;
-  }
-  return count;
-}
-
 ICSDIV_AVX2 std::size_t fire_record_avx2(const std::uint64_t* words, const std::uint64_t* threshold,
                                          const std::uint32_t* to, std::size_t n,
                                          std::uint64_t baseline, std::uint32_t* out) {
@@ -501,8 +391,7 @@ ICSDIV_AVX2 double min_convolve2_avx2(double* out, const double* rows, double s,
 constexpr Kernels kAvx2Table = {
     add_avx2,          min_value_avx2,      sub_scalar_avx2,   damp_update_avx2,
     fold_chord_avx2,   fold_tree_cm_avx2,   fold_tree_mc_avx2, sum_rows_avx2,
-    joint_block_avx2,  min_convolve2_avx2,  gather_unset_avx2, accept_indexed_avx2,
-    fire_record_avx2,
+    joint_block_avx2,  min_convolve2_avx2,  fire_record_avx2,
 };
 
 #endif  // ICSDIV_SIMD_AVX2
@@ -510,8 +399,8 @@ constexpr Kernels kAvx2Table = {
 // ---------------------------------------------------------------------------
 // NEON kernels (aarch64; 2-wide doubles).  min/max use explicit
 // compare+select (vbslq) rather than vminq/vmaxq so the tie and NaN
-// behaviour matches the scalar ternaries exactly.  The integer kernels
-// stay scalar on NEON — they are gather-bound and NEON has no gather.
+// behaviour matches the scalar ternaries exactly.  The integer kernel
+// stays scalar on NEON.
 // ---------------------------------------------------------------------------
 
 #if defined(ICSDIV_SIMD_NEON)
@@ -712,8 +601,7 @@ double min_convolve2_neon(double* out, const double* rows, double s, const doubl
 constexpr Kernels kNeonTable = {
     add_neon,            min_value_neon,        sub_scalar_neon,     damp_update_neon,
     fold_chord_neon,     fold_tree_cm_neon,     fold_tree_mc_neon,   sum_rows_neon,
-    joint_block_neon,    min_convolve2_neon,    gather_unset_scalar, accept_indexed_scalar,
-    fire_record_scalar,
+    joint_block_neon,    min_convolve2_neon,    fire_record_scalar,
 };
 
 #endif  // ICSDIV_SIMD_NEON

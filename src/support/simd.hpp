@@ -1,10 +1,10 @@
 // Portable SIMD kernel layer (DESIGN.md §14).
 //
-// Every hot inner loop of the three compiled substrates — TRW-S/BP
+// The hot inner loops of the solver and reliability substrates — TRW-S/BP
 // min-plus message updates and reparameterisation folds over the flat
-// label pools, the worm simulator's frontier gather and Bernoulli
-// acceptance over the CSR link arrays, and the reliability sampler's
-// per-burst edge firing — is an elementwise pass over flat arrays.  This
+// label pools, and the reliability sampler's per-burst edge firing — are
+// elementwise passes over flat arrays.  (The worm simulator's tick loops
+// run over its attempt list and need no kernel; see sim/kernels.hpp.)  This
 // header names those passes once, as a table of kernel function pointers,
 // and `simd.cpp` provides runtime-dispatched implementations: a scalar
 // reference, an AVX2 path (x86-64, selected when the CPU reports the
@@ -109,22 +109,7 @@ struct Kernels {
   double (*min_convolve2)(double* out, const double* rows, double s, const double* a,
                           const double* b, std::size_t in_count, std::size_t out_count);
 
-  // ---- integer kernels (word-parallel frontier / acceptance) ----
-
-  /// Frontier gather over a bitset: writes base+i (in order of i) to `out`
-  /// for every i < n whose target bit `to[i]` is UNSET in `bits`, returns
-  /// how many were written.  `out` needs n writable slots; slots past the
-  /// returned count hold garbage.
-  std::size_t (*gather_unset)(const std::uint32_t* to, std::size_t n, const std::uint32_t* bits,
-                              std::uint32_t base, std::uint32_t* out);
-
-  /// Indexed Bernoulli acceptance: for each i < n, accepts when
-  /// words[i] < threshold[idx[i]] and writes to[idx[i]] to `out` in order;
-  /// returns the accepted count.  words must be < 2^63 (they are 53-bit
-  /// RNG draws).  `out` needs n writable slots.
-  std::size_t (*accept_indexed)(const std::uint32_t* idx, std::size_t n, const std::uint32_t* to,
-                                const std::uint64_t* threshold, const std::uint64_t* words,
-                                std::uint32_t* out);
+  // ---- integer kernel (reliability burst firing) ----
 
   /// Burst edge firing: for each i < n, fires when words[i] < threshold[i]
   /// and writes (to[i] << 1) | (words[i] < baseline) to `out` in order;
@@ -158,10 +143,9 @@ bool set_active(Dispatch dispatch) noexcept;
 /// Parses an `ICSDIV_SIMD` value; returns false on unknown names.
 bool parse_dispatch(const char* text, Dispatch& out) noexcept;
 
-// ---- bitset helpers (the word-parallel frontier marks) ----
+// ---- bitset helpers (the worm simulator's host marks) ----
 
-/// Words needed for a bitset of `bits` bits (32-bit words: the AVX2
-/// gather path reads them with 32-bit lane gathers).
+/// Words needed for a bitset of `bits` bits (32-bit words).
 [[nodiscard]] constexpr std::size_t bitset_words(std::size_t bits) noexcept {
   return (bits + 31) / 32;
 }

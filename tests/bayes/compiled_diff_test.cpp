@@ -12,6 +12,7 @@
 #include "bayes/metric.hpp"
 #include "core/optimizer.hpp"
 #include "runner/workload.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::bayes {
 namespace {
@@ -32,7 +33,7 @@ struct LineFixture {
     if (sim_ab > 0.0) catalog.set_similarity(a, b, sim_ab);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 4; ++i) {
-      const core::HostId h = network->add_host("h" + std::to_string(i));
+      const core::HostId h = network->add_host(support::numbered("h", i));
       network->add_service(h, service, {a, b});
     }
     network->add_link(0, 1);

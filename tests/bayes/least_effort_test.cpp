@@ -7,6 +7,7 @@
 
 #include "core/baselines.hpp"
 #include "generated_networks.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::bayes {
 namespace {
@@ -27,7 +28,7 @@ struct PathFixture {
     c = catalog.add_product(service, "c");
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < 5; ++i) {
-      network->add_host("h" + std::to_string(i));
+      network->add_host(support::numbered("h", i));
       network->add_service(static_cast<core::HostId>(i), service, {a, b, c});
     }
     for (int i = 0; i < 4; ++i) {
@@ -224,10 +225,10 @@ TEST(LeastEffort, TooManyProductsRaisesInfeasible) {
   core::Network network(catalog);
   std::vector<core::ProductId> products;
   for (int i = 0; i < 40; ++i) {
-    products.push_back(catalog.add_product(service, "p" + std::to_string(i)));
+    products.push_back(catalog.add_product(service, support::numbered("p", i)));
   }
   for (int i = 0; i < 40; ++i) {
-    network.add_host("h" + std::to_string(i));
+    network.add_host(support::numbered("h", i));
     network.add_service(static_cast<core::HostId>(i), service, products);
     if (i > 0) network.add_link(static_cast<core::HostId>(i - 1), static_cast<core::HostId>(i));
   }

@@ -7,6 +7,7 @@
 #include "core/constraints.hpp"
 #include "core/network.hpp"
 #include "core/product.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::core {
 namespace {
@@ -81,7 +82,7 @@ TEST(ProductCatalog, SimilarityTableSurvivesGrowth) {
   std::map<std::pair<ProductId, ProductId>, double> expected;
   for (int i = 0; i < 37; ++i) {
     for (int s = 0; s < 2; ++s) {
-      const ProductId id = catalog.add_product(services[s], "p" + std::to_string(i));
+      const ProductId id = catalog.add_product(services[s], support::numbered("p", i));
       for (std::size_t k = 0; k < members[s].size(); k += 3) {
         const double value = static_cast<double>((id * 7 + k) % 11) / 10.0;
         catalog.set_similarity(members[s][k], id, value);
@@ -109,8 +110,8 @@ TEST(ProductCatalog, LargeCatalogsLoad) {
   // the zero default read back after the table grows.
   ProductCatalog catalog;
   for (int s = 0; s < 5; ++s) {
-    const ServiceId service = catalog.add_service("S" + std::to_string(s));
-    for (int i = 0; i < 599; ++i) (void)catalog.add_product(service, "p" + std::to_string(i));
+    const ServiceId service = catalog.add_service(support::numbered("S", s));
+    for (int i = 0; i < 599; ++i) (void)catalog.add_product(service, support::numbered("p", i));
     const auto& members = catalog.products_of(service);
     catalog.set_similarity(members[0], members[598], 0.25);
     (void)catalog.add_product(service, "p599");

@@ -6,6 +6,7 @@
 #include "core/optimizer.hpp"
 #include "core/serialization.hpp"
 #include "core/upgrade.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::core {
 namespace {
@@ -32,7 +33,7 @@ struct Fixture {
 
     network = std::make_unique<Network>(catalog);
     for (int i = 0; i < 6; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(support::numbered("h", i));
       network->add_service(h, os, os_products);
       if (i < 4) network->add_service(h, wb, wb_products);
     }

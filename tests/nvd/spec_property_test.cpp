@@ -6,6 +6,7 @@
 
 #include "nvd/synthetic.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::nvd {
 namespace {
@@ -16,9 +17,9 @@ OverlapSpec random_spec(support::Rng& rng) {
   OverlapSpec spec;
   const std::size_t n = 4 + rng.index(4);
   for (std::size_t i = 0; i < n; ++i) {
-    spec.products.push_back(ProductRef{
-        "p" + std::to_string(i),
-        CpeUri::parse("cpe:/a:vendor" + std::to_string(i % 3) + ":p" + std::to_string(i))});
+    std::string cpe = support::numbered("cpe:/a:vendor", i % 3);
+    cpe += support::numbered(":p", i);
+    spec.products.push_back(ProductRef{support::numbered("p", i), CpeUri::parse(cpe)});
   }
   std::vector<std::size_t> allocated(n, 0);
   // Random pair blocks.

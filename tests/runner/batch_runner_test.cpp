@@ -16,6 +16,15 @@
 namespace icsdiv::runner {
 namespace {
 
+/// Batch options with `threads` set and every other field at its default
+/// (spelled out: GCC 12 flags the designated-initializer form under
+/// -Wmissing-field-initializers).
+BatchOptions with_threads(std::size_t threads) {
+  BatchOptions options;
+  options.threads = threads;
+  return options;
+}
+
 /// Small grid that exercises every axis and stays fast (12 cells).
 ScenarioGrid small_grid() {
   ScenarioGrid grid;
@@ -429,7 +438,7 @@ TEST(BatchRunner, FailedCellsDoNotSinkTheBatch) {
   ScenarioGrid grid = small_grid();
   grid.solvers = {"trws", "no-such-solver"};
   grid.constraints = {"none"};
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.failed_count(), 2u);
   for (const ScenarioResult& result : report.results) {
@@ -562,7 +571,7 @@ TEST(BatchRunner, FailedAttackCellsKeepTheirAxisGroup) {
   attack.runs = 10;
   grid.attack = attack;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 1}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(1)).run(grid);
   ASSERT_EQ(report.results.size(), 2u);
   EXPECT_EQ(report.failed_count(), 2u);
   // A cell that never solved still echoes its attack axes, so the JSON
@@ -588,7 +597,7 @@ TEST(BatchRunner, OnResultFiresOncePerCell) {
 
 TEST(BatchRunner, ResultsStayInSpecOrder) {
   const auto specs = small_grid().expand();
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 4}).run(specs);
+  const BatchReport report = BatchRunner(with_threads(4)).run(specs);
   for (std::size_t i = 0; i < specs.size(); ++i) {
     EXPECT_EQ(report.results[i].index, i);
     EXPECT_EQ(report.results[i].name, specs[i].name);
@@ -630,7 +639,7 @@ TEST(BatchReport, NonFiniteValuesAreEmptyCsvCellsAndJsonNulls) {
   attack.max_ticks = 1;
   spec.attack = attack;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 1}).run({spec});
+  const BatchReport report = BatchRunner(with_threads(1)).run({spec});
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
   const ScenarioResult& result = report.results[0];
   EXPECT_EQ(result.mttc_censored, result.mttc_runs);
@@ -658,7 +667,7 @@ TEST(BatchReport, NonFiniteValuesAreEmptyCsvCellsAndJsonNulls) {
 }
 
 TEST(BatchReport, JsonCarriesCellsAndAggregates) {
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(small_grid());
+  const BatchReport report = BatchRunner(with_threads(2)).run(small_grid());
   const support::Json json = report.to_json();
   const auto& root = json.as_object();
   EXPECT_EQ(root.at("cells").as_integer(), 12);

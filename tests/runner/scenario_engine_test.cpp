@@ -12,6 +12,15 @@
 namespace icsdiv::runner {
 namespace {
 
+/// Batch options with `threads` set and every other field at its default
+/// (spelled out: GCC 12 flags the designated-initializer form under
+/// -Wmissing-field-initializers).
+BatchOptions with_threads(std::size_t threads) {
+  BatchOptions options;
+  options.threads = threads;
+  return options;
+}
+
 /// 1 workload × 2 solvers × {2 strategies × 2 detections} = 8 cells that
 /// share their generate/problem prefix and pairwise share solves.
 ScenarioGrid shared_prefix_grid() {
@@ -74,7 +83,7 @@ TEST(ScenarioEngine, CachedAndUncachedAreBitIdenticalAcrossThreadCounts) {
 
 TEST(ScenarioEngine, StageStatsCountSharedPrefixes) {
   const ScenarioGrid grid = shared_prefix_grid();
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 4}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(4)).run(grid);
   ASSERT_EQ(report.results.size(), 8u);
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
 
@@ -102,7 +111,7 @@ TEST(ScenarioEngine, StageStatsCountSharedPrefixes) {
 
 TEST(ScenarioEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   const BatchReport report =
-      BatchRunner(BatchOptions{.threads = 4}).run(shared_prefix_grid());
+      BatchRunner(with_threads(4)).run(shared_prefix_grid());
   const StageStats& stats = report.stage_stats;
   // Every payload with planned consumers is evicted once the last one
   // finishes: workload (by the problem build), problem (by the solves),
@@ -118,7 +127,7 @@ TEST(ScenarioEngine, RefcountEvictionReleasesEveryConsumedPayload) {
   // pre-refactor per-cell lifetime).
   ScenarioGrid solve_only = shared_prefix_grid();
   solve_only.attack.reset();
-  const BatchReport plain = BatchRunner(BatchOptions{.threads = 2}).run(solve_only);
+  const BatchReport plain = BatchRunner(with_threads(2)).run(solve_only);
   ASSERT_EQ(plain.failed_count(), 0u);
   EXPECT_EQ(plain.stage_stats.solve.executed, 2u);
   EXPECT_EQ(plain.stage_stats.solve.evicted, 2u);
@@ -137,7 +146,7 @@ TEST(ScenarioEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
   metrics.samples = 10'000;
   grid.metrics = metrics;
 
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   ASSERT_EQ(report.failed_count(), 0u) << report.results[0].error;
   EXPECT_EQ(report.stage_stats.metric.executed, 1u);
@@ -153,7 +162,7 @@ TEST(ScenarioEngine, MetricEvaluationIsSharedAcrossAttackSiblings) {
 TEST(ScenarioEngine, SharedFailedStageFailsEveryConsumerCell) {
   ScenarioGrid grid = shared_prefix_grid();
   grid.solvers = {"no-such-solver"};
-  const BatchReport report = BatchRunner(BatchOptions{.threads = 2}).run(grid);
+  const BatchReport report = BatchRunner(with_threads(2)).run(grid);
   ASSERT_EQ(report.results.size(), 4u);
   EXPECT_EQ(report.failed_count(), 4u);
   // One shared solve execution fails once; every dependent cell reports

@@ -1,5 +1,6 @@
 // The compiled propagation substrate and the WormSimulator facade:
-// seed-era golden pins (bit-for-bit stream preservation), detection-mode
+// seed-era golden pins (bit-for-bit stream preservation), branching-graph
+// pins where many hosts attack in one tick, detection-mode
 // infection accounting, dead-state early exit, thread-count determinism,
 // censoring-bias reporting, and the integer-threshold Bernoulli identity.
 #include <gtest/gtest.h>
@@ -7,7 +8,10 @@
 #include <cmath>
 #include <memory>
 
+#include "core/optimizer.hpp"
+#include "runner/workload.hpp"
 #include "sim/worm_sim.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv {
 namespace {
@@ -30,7 +34,7 @@ struct LineFixture {
     if (sim_ab > 0.0) catalog.set_similarity(a, b, sim_ab);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < hosts; ++i) {
-      const HostId h = network->add_host("h" + std::to_string(i));
+      const HostId h = network->add_host(support::numbered("h", i));
       network->add_service(h, service, {a, b});
     }
     for (HostId h = 0; h + 1 < static_cast<HostId>(hosts); ++h) network->add_link(h, h + 1);
@@ -114,6 +118,191 @@ TEST(CompiledGolden, EpidemicCurveAndRunOnceMatchSeedEra) {
 }
 
 // ---------------------------------------------------------------------------
+// Branching-graph pins.  On the line fixture at most about one host attacks
+// per tick, so the order in which different attackers' draws interleave is
+// never exercised.  These pins run a 400-host runner::make_workload network
+// (degree 8, 4 services × 4 products, seed 2020) under its optimizer
+// assignment, where hundreds of hosts attack in the same tick.  Captured
+// from the per-attacker frontier scan that preceded the attempt list.
+
+struct BranchingFixture {
+  runner::WorkloadInstance workload;
+  core::Assignment assignment;
+
+  explicit BranchingFixture(std::size_t hosts)
+      : workload(make(hosts)),
+        assignment(core::Optimizer(*workload.network).optimize().assignment) {}
+
+  static runner::WorkloadInstance make(std::size_t hosts) {
+    runner::WorkloadParams params;
+    params.hosts = hosts;
+    params.average_degree = 8.0;
+    params.services = 4;
+    params.products_per_service = 4;
+    return runner::make_workload(params);
+  }
+};
+
+const BranchingFixture& branching400() {
+  static const BranchingFixture fixture(400);
+  return fixture;
+}
+
+sim::SimulationParams attack(sim::AttackerStrategy strategy, double detection,
+                             double silent = 0.0, std::size_t max_ticks = 100'000) {
+  sim::SimulationParams params;
+  params.strategy = strategy;
+  params.detection_probability = detection;
+  params.silent_probability = silent;
+  params.max_ticks = max_ticks;
+  return params;
+}
+
+constexpr HostId kBranchEntry = 3;
+constexpr HostId kBranchTarget = 397;
+
+void expect_mttc(const sim::MttcResult& r, double mean, double std_dev, double uncensored_mean,
+                 std::size_t censored) {
+  EXPECT_EQ(r.runs, 200u);
+  EXPECT_EQ(r.mean, mean);
+  EXPECT_EQ(r.std_dev, std_dev);
+  EXPECT_EQ(r.uncensored_mean, uncensored_mean);
+  EXPECT_EQ(r.censored, censored);
+}
+
+TEST(BranchingGolden, SophisticatedWithAndWithoutDefender) {
+  const auto& f = branching400();
+  const sim::WormSimulator plain(f.assignment, attack(sim::AttackerStrategy::Sophisticated, 0.0));
+  ASSERT_EQ(plain.compiled().link_count(), 3200u);
+  expect_mttc(plain.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/false), 23.48,
+              9.0946778848481351, 23.48, 0);
+  const sim::WormSimulator defended(f.assignment,
+                                    attack(sim::AttackerStrategy::Sophisticated, 0.01));
+  expect_mttc(defended.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/false),
+              1025.6849999999999, 9972.264955741628, 25.944444444444443, 2);
+}
+
+TEST(BranchingGolden, UniformCensorsUnderDefender) {
+  const auto& f = branching400();
+  const sim::WormSimulator simulator(
+      f.assignment, attack(sim::AttackerStrategy::Uniform, 0.05, 0.0, /*max_ticks=*/300));
+  expect_mttc(simulator.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/false),
+              219.72499999999999, 108.03349273611329, 80.06849315068493, 127);
+}
+
+TEST(BranchingGolden, UniformSilentUnderDefender) {
+  const auto& f = branching400();
+  const sim::WormSimulator simulator(f.assignment,
+                                     attack(sim::AttackerStrategy::Uniform, 0.01, 0.3));
+  expect_mttc(simulator.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/false),
+              18102.415000000001, 38467.102567812246, 124.89634146341463, 36);
+}
+
+TEST(BranchingGolden, EpidemicCurveAndRunOnceUnderDefender) {
+  const auto& f = branching400();
+  const sim::WormSimulator slow(f.assignment, attack(sim::AttackerStrategy::Sophisticated, 0.01));
+  support::Rng curve_rng(5);
+  const std::vector<std::size_t> expected{
+      1,   1,   1,   1,   1,   1,   2,   3,   3,   5,   7,   16,  26,  46,
+      71,  99,  138, 181, 238, 284, 316, 341, 360, 371, 376, 383, 387, 390,
+      393, 397, 398, 398, 400, 400, 400, 400, 400, 400, 400, 400, 400};
+  EXPECT_EQ(slow.epidemic_curve(kBranchEntry, 40, curve_rng), expected);
+
+  // The word drawn after each run pins how many words the run consumed.
+  const sim::WormSimulator fast(
+      f.assignment, attack(sim::AttackerStrategy::Sophisticated, 0.05, 0.0, /*max_ticks=*/300));
+  support::Rng reached_rng(9);
+  const auto reached = fast.run_once(kBranchEntry, kBranchTarget, reached_rng);
+  EXPECT_TRUE(reached.target_reached);
+  EXPECT_FALSE(reached.extinct);
+  EXPECT_EQ(reached.ticks, 22u);
+  EXPECT_EQ(reached.infected_count, 394u);
+  EXPECT_EQ(reached_rng(), 16773269978476419652ull);
+
+  support::Rng extinct_rng(11);
+  const auto extinct = fast.run_once(kBranchEntry, kBranchTarget, extinct_rng);
+  EXPECT_FALSE(extinct.target_reached);
+  EXPECT_TRUE(extinct.extinct);
+  EXPECT_EQ(extinct.ticks, 300u);
+  EXPECT_EQ(extinct.infected_count, 396u);
+  EXPECT_EQ(extinct_rng(), 6787686602364507198ull);
+}
+
+TEST(BranchingGolden, UniformDefenderBitIdenticalAcross1And2And8Threads) {
+  const auto& f = branching400();
+  const sim::WormSimulator simulator(
+      f.assignment, attack(sim::AttackerStrategy::Uniform, 0.05, 0.0, /*max_ticks=*/300));
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE(threads);
+    expect_mttc(simulator.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/true, threads),
+                219.72499999999999, 108.03349273611329, 80.06849315068493, 127);
+  }
+}
+
+TEST(BranchingGolden, SimStateReusedAcrossEntriesAndHostCounts) {
+  // One SimState carried across entries and across simulators of 400 and
+  // 200 hosts, defender on: every run must match a fresh state, words
+  // consumed included.
+  const auto& large = branching400();
+  const BranchingFixture small(200);
+  const auto params = attack(sim::AttackerStrategy::Uniform, 0.05, 0.2, /*max_ticks=*/300);
+  const sim::WormSimulator sim_large(large.assignment, params);
+  const sim::WormSimulator sim_small(small.assignment, params);
+  struct Step {
+    const sim::WormSimulator* simulator;
+    HostId entry;
+    HostId target;
+  };
+  const Step steps[] = {{&sim_large, 3, 397}, {&sim_large, 50, 7},  {&sim_small, 3, 197},
+                        {&sim_large, 3, 397}, {&sim_small, 120, 1}, {&sim_large, 50, 7}};
+  sim::SimState reused;
+  std::uint64_t seed = 30;
+  for (const Step& step : steps) {
+    support::Rng rng_reused(seed);
+    support::Rng rng_fresh(seed++);
+    sim::SimState fresh_state;
+    const auto a = step.simulator->run_once(step.entry, step.target, rng_reused, reused);
+    const auto b = step.simulator->run_once(step.entry, step.target, rng_fresh, fresh_state);
+    EXPECT_EQ(a.target_reached, b.target_reached) << "seed " << seed;
+    EXPECT_EQ(a.extinct, b.extinct) << "seed " << seed;
+    EXPECT_EQ(a.ticks, b.ticks) << "seed " << seed;
+    EXPECT_EQ(a.infected_count, b.infected_count) << "seed " << seed;
+    EXPECT_EQ(rng_reused(), rng_fresh()) << "seed " << seed;
+  }
+}
+
+TEST(BranchingGolden, StoredChannelsRebuildTheLinkSources) {
+  // The channels record does not carry each link's source; it is rebuilt
+  // at load time, and the defender's compaction reads it.  A loaded table
+  // must re-serialise byte for byte and give the pinned stream.
+  const auto& f = branching400();
+  const auto params = attack(sim::AttackerStrategy::Uniform, 0.05, 0.0, /*max_ticks=*/300);
+  const std::string record = sim::PropagationChannels(f.assignment, params.model).serialize();
+  const auto loaded = std::make_shared<const sim::PropagationChannels>(
+      sim::PropagationChannels::deserialize(record));
+  EXPECT_EQ(loaded->serialize(), record);
+  const sim::CompiledPropagation simulator(loaded, params);
+  expect_mttc(simulator.mttc(kBranchEntry, kBranchTarget, 200, 17, /*parallel=*/false),
+              219.72499999999999, 108.03349273611329, 80.06849315068493, 127);
+
+  // The offsets follow three model fields, two u64 counts and the span's
+  // u64 length.  Tables the tick would index out of bounds are rejected.
+  constexpr std::size_t kFirstOffset = 8 + 8 + 1 + 8 + 8 + 8;
+  std::string descending = record;
+  for (std::size_t b = 4; b < 8; ++b) descending[kFirstOffset + b] = '\xff';  // offsets[1]
+  EXPECT_THROW(static_cast<void>(sim::PropagationChannels::deserialize(descending)),
+               InvalidArgument);
+  std::string shifted = record;
+  shifted[kFirstOffset] = '\x01';  // offsets[0] = 1
+  EXPECT_THROW(static_cast<void>(sim::PropagationChannels::deserialize(shifted)),
+               InvalidArgument);
+  // The link targets follow the 401 offsets and their own u64 length.
+  std::string stray = record;
+  for (std::size_t b = 0; b < 4; ++b) stray[kFirstOffset + 401 * 4 + 8 + b] = '\xff';
+  EXPECT_THROW(static_cast<void>(sim::PropagationChannels::deserialize(stray)), InvalidArgument);
+}
+
+// ---------------------------------------------------------------------------
 // Detection-mode infection accounting (the seed-era bug: active.size() was
 // reported, so remediated hosts vanished from the count).
 
@@ -181,7 +370,7 @@ TEST(DeadState, WalledOffWormExitsImmediately) {
   const auto a = catalog.add_product(service, "A");
   core::Network network(catalog);
   for (int i = 0; i < 3; ++i) {
-    const HostId h = network.add_host("n" + std::to_string(i));
+    const HostId h = network.add_host(support::numbered("n", i));
     network.add_service(h, service, {a});
   }
   network.add_link(0, 1);  // h2 stays unreachable
@@ -272,7 +461,7 @@ TEST(Mttc, AllCensoredReportsNaNUncensoredMean) {
   const auto a = catalog.add_product(service, "A");
   core::Network network(catalog);
   for (int i = 0; i < 2; ++i) {
-    const HostId h = network.add_host("n" + std::to_string(i));
+    const HostId h = network.add_host(support::numbered("n", i));
     network.add_service(h, service, {a});
   }
   core::Assignment assignment(network);  // two isolated hosts

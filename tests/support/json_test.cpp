@@ -1,5 +1,6 @@
 // JSON value model, parser and writer.
 #include "support/json.hpp"
+#include "support/strings.hpp"
 
 #include <gtest/gtest.h>
 
@@ -173,7 +174,7 @@ TEST(JsonObject, SetOverwrites) {
 
 TEST(JsonObject, IndexedCopyIsIndependent) {
   JsonObject object;
-  for (int i = 0; i < 40; ++i) object.set("k" + std::to_string(i), Json(i));
+  for (int i = 0; i < 40; ++i) object.set(support::numbered("k", i), Json(i));
   JsonObject copy = object;
   copy.set("k7", Json("changed"));
   copy.set("extra", Json(true));
@@ -183,7 +184,7 @@ TEST(JsonObject, IndexedCopyIsIndependent) {
   EXPECT_EQ(copy.size(), 41u);
   object = copy;
   EXPECT_TRUE(object.at("extra").as_boolean());
-  for (int i = 0; i < 40; ++i) EXPECT_TRUE(object.contains("k" + std::to_string(i)));
+  for (int i = 0; i < 40; ++i) EXPECT_TRUE(object.contains(support::numbered("k", i)));
 }
 
 TEST(JsonObject, MissingKeyThrows) {

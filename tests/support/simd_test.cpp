@@ -4,7 +4,7 @@
 // at every size class (vector blocks, tails, empty), with per-kernel
 // golden pins, the dispatch-override plumbing (ICSDIV_SIMD parsing and
 // set_active forced-scalar fallback), and cross-dispatch end-to-end runs
-// of all four kernelized pillars (TRW-S, BP, worm MTTC, reliability MC).
+// of TRW-S, BP, worm MTTC and reliability MC.
 #include "support/simd.hpp"
 
 #include <gtest/gtest.h>
@@ -22,6 +22,7 @@
 #include "mrf/trws.hpp"
 #include "sim/compiled.hpp"
 #include "support/rng.hpp"
+#include "support/strings.hpp"
 
 namespace icsdiv::support::simd {
 namespace {
@@ -283,58 +284,27 @@ TEST(SimdBitIdentity, IntegerKernels) {
     Rng rng(71);
     for (const std::size_t n : kSizes) {
       for (int trial = 0; trial < 8; ++trial) {
-        // gather_unset: random bitset over 96 hosts, random targets.
-        std::vector<std::uint32_t> mark_bits(bitset_words(96), 0);
-        for (int i = 0; i < 48; ++i) {
-          bit_set(mark_bits.data(), static_cast<std::uint32_t>(rng.uniform_below(96)));
-        }
-        std::vector<std::uint32_t> to(n);
-        for (auto& t : to) t = static_cast<std::uint32_t>(rng.uniform_below(96));
-        const auto base = static_cast<std::uint32_t>(rng.uniform_below(1000));
-        std::vector<std::uint32_t> out_scalar(n), out_simd(n);
-        const std::size_t count_scalar =
-            scalar.gather_unset(to.data(), n, mark_bits.data(), base, out_scalar.data());
-        const std::size_t count_simd =
-            k.gather_unset(to.data(), n, mark_bits.data(), base, out_simd.data());
-        ASSERT_EQ(count_scalar, count_simd) << "gather_unset count under " << name(d);
-        for (std::size_t i = 0; i < count_scalar; ++i) {
-          ASSERT_EQ(out_scalar[i], out_simd[i]) << "gather_unset[" << i << "] under " << name(d);
-        }
-
-        // accept_indexed: thresholds hit the boundary cases (0 accepts
-        // nothing, 2^53 accepts everything, word == threshold rejects).
-        const std::size_t pool = n + 8;
-        std::vector<std::uint64_t> thresholds(pool);
-        std::vector<std::uint32_t> link_to(pool);
-        for (std::size_t i = 0; i < pool; ++i) {
+        // fire_record: thresholds hit the boundary cases (0 fires nothing,
+        // 2^53 fires everything, word == threshold does not fire), plus
+        // the baseline sub-coupling bit.
+        std::vector<std::uint64_t> thresholds(n);
+        std::vector<std::uint32_t> link_to(n);
+        for (std::size_t i = 0; i < n; ++i) {
           const auto kind = rng.uniform_below(4);
           thresholds[i] = kind == 0 ? 0 : kind == 1 ? kOne53 : rng.uniform_below(kOne53) + 1;
           link_to[i] = static_cast<std::uint32_t>(rng.uniform_below(1u << 20));
         }
-        std::vector<std::uint32_t> idx(n);
-        for (auto& x : idx) x = static_cast<std::uint32_t>(rng.uniform_below(pool));
         std::vector<std::uint64_t> words(n);
         for (std::size_t i = 0; i < n; ++i) {
-          // Mix exact-boundary words in: word == threshold must reject,
-          // word == threshold − 1 must accept.  Words stay below 2⁵³ (the
-          // kernel contract — real words are rng() >> 11), so the
-          // threshold−1 probe is skipped for threshold 0.
-          words[i] = rng.uniform_below(2) == 0 ? thresholds[idx[i]] : rng() >> 11;
-          if (thresholds[idx[i]] > 0 && rng.uniform_below(4) == 0) {
-            words[i] = thresholds[idx[i]] - 1;
-          }
+          // Mix exact-boundary words in: word == threshold must not fire,
+          // word == threshold − 1 must.  Words stay below 2⁵³ (the kernel
+          // contract — real words are rng() >> 11), so the threshold−1
+          // probe is skipped for threshold 0.
+          words[i] = rng.uniform_below(2) == 0 ? thresholds[i] : rng() >> 11;
+          if (thresholds[i] > 0 && rng.uniform_below(4) == 0) words[i] = thresholds[i] - 1;
         }
-        const std::size_t accept_scalar = scalar.accept_indexed(
-            idx.data(), n, link_to.data(), thresholds.data(), words.data(), out_scalar.data());
-        const std::size_t accept_simd = k.accept_indexed(
-            idx.data(), n, link_to.data(), thresholds.data(), words.data(), out_simd.data());
-        ASSERT_EQ(accept_scalar, accept_simd) << "accept_indexed count under " << name(d);
-        for (std::size_t i = 0; i < accept_scalar; ++i) {
-          ASSERT_EQ(out_scalar[i], out_simd[i]) << "accept_indexed[" << i << "] under " << name(d);
-        }
-
-        // fire_record: same boundary mix plus the baseline sub-coupling bit.
         const std::uint64_t baseline = rng.uniform_below(kOne53) + 1;
+        std::vector<std::uint32_t> out_scalar(n), out_simd(n);
         const std::size_t fire_scalar = scalar.fire_record(
             words.data(), thresholds.data(), link_to.data(), n, baseline, out_scalar.data());
         const std::size_t fire_simd = k.fire_record(words.data(), thresholds.data(),
@@ -442,44 +412,26 @@ TEST(SimdGolden, FusedKernelPins) {
 TEST(SimdGolden, IntegerKernelPins) {
   for (const Dispatch d : supported_dispatches()) {
     const Kernels& k = kernels(d);
-    // Hosts 2 and 5 marked; links target 1,2,3,5 → links 0 and 2 survive.
-    std::vector<std::uint32_t> mark_bits(bitset_words(8), 0);
-    bit_set(mark_bits.data(), 2);
-    bit_set(mark_bits.data(), 5);
-    const std::vector<std::uint32_t> to = {1, 2, 3, 5};
+    // fire_record packs (to << 1) | below-baseline; word < threshold
+    // fires and word == threshold does not (the integer Bernoulli
+    // identity's strict inequality).
+    const std::vector<std::uint64_t> fire_words = {4, 7, 3, 5};
+    const std::vector<std::uint64_t> fire_thresholds = {10, 5, 5, 5};
+    const std::vector<std::uint32_t> fire_to = {6, 7, 8, 9};
     std::vector<std::uint32_t> out(4, 0);
-    ASSERT_EQ(k.gather_unset(to.data(), 4, mark_bits.data(), 7, out.data()), 2u) << name(d);
-    EXPECT_EQ(out[0], 7u) << name(d);
-    EXPECT_EQ(out[1], 9u) << name(d);
-
-    // word < threshold accepts; word == threshold rejects (the integer
-    // Bernoulli identity's strict inequality).
-    const std::vector<std::uint64_t> thresholds = {10, 10, 0};
-    const std::vector<std::uint32_t> link_to = {100, 200, 300};
-    const std::vector<std::uint32_t> idx = {0, 1, 2};
-    const std::vector<std::uint64_t> words = {9, 10, 0};
-    ASSERT_EQ(k.accept_indexed(idx.data(), 3, link_to.data(), thresholds.data(), words.data(),
-                               out.data()),
-              1u)
-        << name(d);
-    EXPECT_EQ(out[0], 100u) << name(d);
-
-    // fire_record packs (to << 1) | below-baseline.
-    const std::vector<std::uint64_t> fire_words = {4, 7, 3};
-    const std::vector<std::uint64_t> fire_thresholds = {10, 5, 5};
-    const std::vector<std::uint32_t> fire_to = {6, 7, 8};
-    ASSERT_EQ(k.fire_record(fire_words.data(), fire_thresholds.data(), fire_to.data(), 3,
+    ASSERT_EQ(k.fire_record(fire_words.data(), fire_thresholds.data(), fire_to.data(), 4,
                             /*baseline=*/5, out.data()),
               2u)
         << name(d);
     EXPECT_EQ(out[0], (6u << 1) | 1u) << name(d);  // 4 < 10 fires, 4 < 5 baseline
-    EXPECT_EQ(out[1], (8u << 1) | 1u) << name(d);  // 7 ≥ 5 never fires; 3 < 5 does
+    EXPECT_EQ(out[1], (8u << 1) | 1u) << name(d);  // 7 ≥ 5 never fires; 3 < 5 does; 5 = 5 not
   }
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end cross-dispatch: the four kernelized pillars must produce
-// bit-identical results under every dispatch target.
+// End-to-end cross-dispatch: the solvers, the worm simulator (which calls
+// no kernel and must stay independent of the dispatch) and the sampler
+// must produce bit-identical results under every dispatch target.
 // ---------------------------------------------------------------------------
 
 mrf::Mrf random_mrf(std::size_t n, std::size_t labels, double edge_probability, Rng& rng) {
@@ -546,7 +498,7 @@ struct HubFixture {
     catalog.set_similarity(a, b, 0.5);
     network = std::make_unique<core::Network>(catalog);
     for (int i = 0; i < kHosts; ++i) {
-      const core::HostId h = network->add_host("h" + std::to_string(i));
+      const core::HostId h = network->add_host(support::numbered("h", i));
       network->add_service(h, service, {a, b});
     }
     for (core::HostId h = 1; h < kHosts; ++h) network->add_link(0, h);
